@@ -17,7 +17,9 @@ byte-identical file.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -53,7 +55,7 @@ def _layer_manifest(layer):
         meta = {
             "type": "pwlu", "name": layer.name, "granularity": layer.granularity,
             "n_channels": layer.n_channels,
-            "n_intervals": layer.units[0].n_intervals,
+            "n_intervals": layer.n_intervals,
             "frozen": layer.frozen, "collecting": layer.collecting,
             "stats": [{"mean": s.mean, "std": s.std, "count": s.update_count}
                       for s in layer.stats],
@@ -61,17 +63,15 @@ def _layer_manifest(layer):
             "reservoir_capacity": layer.reservoirs[0].capacity,
             "reservoir_rng": [r.rng.bit_generator.state for r in layer.reservoirs],
         }
+        edges = np.stack([layer.b_l, layer.b_r, layer.k_l, layer.k_r], axis=1)
+        v_edges = np.stack([layer.v_b_l, layer.v_b_r, layer.v_k_l, layer.v_k_r], axis=1)
         arrays = []
-        for u, params in enumerate(layer.units):
-            edge = np.array([params.left_boundary, params.right_boundary,
-                             params.left_slope, params.right_slope])
-            v = layer._velocity[u]
-            v_edge = np.array([v["b_l"], v["b_r"], v["k_l"], v["k_r"]])
+        for u in range(layer.n_units):
             arrays += [
-                (f"unit{u}_edges", edge),
-                (f"unit{u}_y", params.y_points),
-                (f"unit{u}_v_edges", v_edge),
-                (f"unit{u}_v_y", v["y"]),
+                (f"unit{u}_edges", edges[u]),
+                (f"unit{u}_y", layer.y[u]),
+                (f"unit{u}_v_edges", v_edges[u]),
+                (f"unit{u}_v_y", layer.v_y[u]),
                 (f"unit{u}_reservoir", layer.reservoirs[u].buffer),
             ]
     else:
@@ -85,32 +85,36 @@ def _rebuild_layer(meta, arrays):
     kind = meta["type"]
     if kind == "dense":
         layer = Dense(meta["in_dim"], meta["out_dim"], dummy_rng, name=meta["name"])
-        layer.weight, layer.bias, layer.v_weight, layer.v_bias = arrays
     elif kind == "conv":
         layer = Conv2d(meta["in_ch"], meta["out_ch"], meta["ksize"], dummy_rng,
                        padding=meta["padding"], name=meta["name"])
-        layer.weight, layer.bias, layer.v_weight, layer.v_bias = arrays
     elif kind == "relu":
         layer = Relu(name=meta["name"])
     elif kind == "swish":
         layer = Swish(name=meta["name"])
     elif kind == "pwlu":
-        n = meta["n_intervals"]
         layer = PwluActivation(
-            n_channels=meta["n_channels"], n_intervals=n,
+            n_channels=meta["n_channels"], n_intervals=meta["n_intervals"],
             granularity=meta["granularity"], frozen=meta["frozen"],
             collecting=meta["collecting"], name=meta["name"],
         )
+    else:
+        raise CheckpointError(f"unknown layer type {kind!r} in checkpoint")
+    if meta["arrays"] != _layer_manifest(layer)[0]["arrays"]:
+        raise CheckpointError(f"layer {meta['name']!r}: stored arrays do not fit a {kind} layer")
+
+    if kind in ("dense", "conv"):
+        layer.weight, layer.bias, layer.v_weight, layer.v_bias = arrays
+    elif kind == "pwlu":
         per_unit = 5
         for u in range(layer.n_units):
             edge, y, v_edge, v_y, buf = arrays[u * per_unit:(u + 1) * per_unit]
-            layer.units[u] = PwluParams(
-                n_intervals=n, left_boundary=edge[0], right_boundary=edge[1],
+            layer.set_unit(u, PwluParams(
+                n_intervals=layer.n_intervals, left_boundary=edge[0], right_boundary=edge[1],
                 y_points=y, left_slope=edge[2], right_slope=edge[3],
-            )
-            layer._velocity[u] = {"b_l": float(v_edge[0]), "b_r": float(v_edge[1]),
-                                  "k_l": float(v_edge[2]), "k_r": float(v_edge[3]),
-                                  "y": v_y}
+            ))
+            layer.v_b_l[u], layer.v_b_r[u], layer.v_k_l[u], layer.v_k_r[u] = v_edge
+            layer.v_y[u] = v_y
             s = meta["stats"][u]
             layer.stats[u] = RunningStats(mean=s["mean"], std=s["std"],
                                           update_count=s["count"])
@@ -118,8 +122,6 @@ def _rebuild_layer(meta, arrays):
             res.buffer = buf
             res.seen = meta["reservoir_seen"][u]
             res.rng.bit_generator.state = meta["reservoir_rng"][u]
-    else:
-        raise ValueError(f"unknown layer type {kind!r} in checkpoint")
     return layer
 
 
@@ -160,27 +162,44 @@ def save_checkpoint(path, trainer: Trainer) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+@contextlib.contextmanager
+def _faults_as_checkpoint_error(path):
+    """Report any structural fault met while decoding `path` as a CheckpointError."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, struct.error) as exc:
+        raise CheckpointError(f"corrupt checkpoint {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _read_checkpoint(path):
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot open checkpoint {path}: {exc}") from exc
-    with fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise CheckpointError(f"not a checkpoint file (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+    if raw[:8] != MAGIC:
+        raise CheckpointError(f"not a checkpoint file (magic {raw[:8]!r})")
+    with _faults_as_checkpoint_error(path):
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
         if header["version"] != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {header['version']}")
+        offset = 12 + hlen
         layers = []
         for meta in header["layers"]:
             arrays = []
             for _, shape in meta["arrays"]:
-                count = int(np.prod(shape)) if shape else 1
-                arr = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape).copy()
-                arrays.append(arr)
+                if not all(isinstance(dim, int) and dim >= 0 for dim in shape):
+                    raise CheckpointError(f"invalid array shape {shape!r}")
+                count = math.prod(shape)
+                if offset + 8 * count > len(raw):
+                    raise CheckpointError(f"checkpoint {path} is truncated")
+                arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+                arrays.append(arr.reshape(shape).copy())
+                offset += 8 * count
             layers.append(_rebuild_layer(meta, arrays))
+        if offset != len(raw):
+            raise CheckpointError(f"checkpoint {path} has {len(raw) - offset} trailing bytes")
     return header, layers
 
 
@@ -194,13 +213,14 @@ def load_checkpoint(path, train_features, train_labels,
                     test_features=None, test_labels=None) -> Trainer:
     """Rebuild a trainer mid-run.  Datasets are supplied by the caller."""
     header, layers = _read_checkpoint(path)
-    sched = TrainSchedule(**header["schedule"])
-    trainer = Trainer(Model(layers), sched, train_features, train_labels,
-                      batch_size=header["batch_size"],
-                      test_features=test_features, test_labels=test_labels)
-    trainer.t = header["t"]
-    trainer.epoch_loss_sum = header["epoch_loss_sum"]
-    trainer.epoch_loss_count = header["epoch_loss_count"]
-    trainer.metrics = header["metrics"]
-    trainer.rng.bit_generator.state = header["rng_state"]
+    with _faults_as_checkpoint_error(path):
+        sched = TrainSchedule(**header["schedule"])
+        trainer = Trainer(Model(layers), sched, train_features, train_labels,
+                          batch_size=header["batch_size"],
+                          test_features=test_features, test_labels=test_labels)
+        trainer.t = header["t"]
+        trainer.epoch_loss_sum = header["epoch_loss_sum"]
+        trainer.epoch_loss_count = header["epoch_loss_count"]
+        trainer.metrics = header["metrics"]
+        trainer.rng.bit_generator.state = header["rng_state"]
     return trainer

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatchError
-from .kernel import PwluGrads, PwluParams, init_pwlu_relu
+from .errors import DegenerateParameterError, ShapeMismatchError
+from .kernel import MIN_BOUNDARY_WIDTH, PwluParams, init_pwlu_relu
 from .optim import sgd_momentum_step
 from .stats import Reservoir, RunningStats, update_stats
 
@@ -165,33 +165,55 @@ class PwluActivation(Layer):
     the optimizer step leaves the unit parameters untouched (gradients still
     flow to earlier layers).  While `collecting`, each training forward
     updates the running mean/std and the reservoir sample of every unit.
+
+    The parameters of all units are stored once, as arrays over units:
+    b_l, b_r, k_l, k_r of shape (U,) and y of shape (U, N+1), with
+    velocities v_* and gradients g_* of the same shapes.  `units` is a
+    read-only snapshot of them as PwluParams; `set_unit` writes one unit.
     """
 
     def __init__(self, n_channels: int, n_intervals: int = 16, granularity: str = "channel",
                  half_width: float = 3.0, frozen: bool = False, collecting: bool = False,
-                 lr_scale: float = 1.0, seed: int = 0, name: str = "pwlu"):
+                 seed: int = 0, name: str = "pwlu"):
         if granularity not in ("channel", "layer"):
             raise ValueError(f"granularity must be 'channel' or 'layer', got {granularity!r}")
         self.name = name
         self.granularity = granularity
         self.n_channels = n_channels
+        self.n_intervals = n_intervals
         self.n_units = n_channels if granularity == "channel" else 1
-        self.units = [init_pwlu_relu(n_intervals, half_width) for _ in range(self.n_units)]
+        init = init_pwlu_relu(n_intervals, half_width)
+        self.b_l = np.full(self.n_units, init.left_boundary)
+        self.b_r = np.full(self.n_units, init.right_boundary)
+        self.y = np.tile(init.y_points, (self.n_units, 1))
+        self.k_l = np.full(self.n_units, init.left_slope)
+        self.k_r = np.full(self.n_units, init.right_slope)
+        self.v_b_l, self.v_b_r, self.v_y, self.v_k_l, self.v_k_r = (
+            np.zeros_like(a) for a in (self.b_l, self.b_r, self.y, self.k_l, self.k_r)
+        )
+        # None until the first backward pass; step() does nothing before it.
+        self.g_b_l = self.g_b_r = self.g_y = self.g_k_l = self.g_k_r = None
         self.stats = [RunningStats() for _ in range(self.n_units)]
         self.reservoirs = [
             Reservoir(seed=seed * 100003 + u) for u in range(self.n_units)
         ]
         self.frozen = frozen
         self.collecting = collecting
-        # Unit parameters share the network learning rate by default; the
-        # multiplier is exposed because the right scale is data-dependent.
-        self.lr_scale = lr_scale
-        self._velocity = [
-            {"b_l": 0.0, "b_r": 0.0, "y": np.zeros(n_intervals + 1), "k_l": 0.0, "k_r": 0.0}
-            for _ in range(self.n_units)
-        ]
-        self._grads = [None] * self.n_units
         self._x = None
+
+    @property
+    def units(self) -> tuple[PwluParams, ...]:
+        """A read-only snapshot of every unit's parameters."""
+        fields = zip(self.b_l, self.b_r, self.y.copy(), self.k_l, self.k_r)
+        return tuple(PwluParams(self.n_intervals, *unit) for unit in fields)
+
+    def set_unit(self, u: int, params: PwluParams) -> None:
+        """Overwrite unit u's parameters; its velocities are kept."""
+        self.b_l[u] = params.left_boundary
+        self.b_r[u] = params.right_boundary
+        self.y[u] = params.y_points
+        self.k_l[u] = params.left_slope
+        self.k_r[u] = params.right_slope
 
     def _unit_slice(self, x, u):
         if self.granularity == "layer":
@@ -210,13 +232,25 @@ class PwluActivation(Layer):
         moved_shape = like.shape[:1] + like.shape[2:] + (self.n_channels,)
         return np.moveaxis(cols.reshape(moved_shape), -1, 1)
 
-    def _stacked(self):
-        b_l = np.array([p.left_boundary for p in self.units])
-        b_r = np.array([p.right_boundary for p in self.units])
-        y = np.stack([p.y_points for p in self.units])
-        k_l = np.array([p.left_slope for p in self.units])
-        k_r = np.array([p.right_slope for p in self.units])
-        return b_l, b_r, y, k_l, k_r
+    def _segments(self, xc):
+        """Segment of every element of xc (elements, units).
+
+        Returns the segment index, its low height, its slope, its left edge,
+        and the masks of elements left and right of the boundary interval.
+        """
+        n = self.n_intervals
+        d = (self.b_r - self.b_l) / n
+        raw = (xc - self.b_l) / d
+        # Non-finite inputs (diverged upstream weights) must not crash the
+        # index gather; the output stays non-finite and the trainer's loss
+        # check reports the offending layer.
+        raw = np.where(np.isfinite(raw), raw, 0.0)
+        idx = np.clip(np.floor(raw), 0, n - 1).astype(np.int64)
+        cols = np.arange(self.n_units)
+        y_lo = self.y[cols, idx]
+        k_mid = (self.y[cols, idx + 1] - y_lo) / d
+        b_idx = self.b_l + idx * d
+        return idx, y_lo, k_mid, b_idx, xc < self.b_l, xc >= self.b_r
 
     def forward(self, x, training=False):
         if self.granularity == "channel" and (x.ndim < 2 or x.shape[1] != self.n_channels):
@@ -231,25 +265,12 @@ class PwluActivation(Layer):
                 self.reservoirs[u].extend(xs)
 
         xc = self._to_columns(x)
-        b_l, b_r, y, k_l, k_r = self._stacked()
-        n = self.units[0].n_intervals
-        d = (b_r - b_l) / n
-        raw = (xc - b_l) / d
-        # Non-finite inputs (diverged upstream weights) must not crash the
-        # index gather; the output stays non-finite and the trainer's loss
-        # check reports the offending layer.
-        raw = np.where(np.isfinite(raw), raw, 0.0)
-        idx = np.clip(np.floor(raw), 0, n - 1).astype(np.int64)
-        cols = np.arange(self.n_units)
-        y_lo = y[cols, idx]
-        k_mid = (y[cols, idx + 1] - y_lo) / d
-        b_idx = b_l + idx * d
-        left = xc < b_l
-        right = xc >= b_r
-        out = np.where(
-            left, (xc - b_l) * k_l + y[:, 0],
-            np.where(right, (xc - b_r) * k_r + y[:, n], (xc - b_idx) * k_mid + y_lo),
-        )
+        y_lo, k_mid, b_idx, left, right = self._segments(xc)[1:]
+        # Overwriting the outer regions in place keeps fewer full-size
+        # temporaries alive than a nested np.where over three branches.
+        out = (xc - b_idx) * k_mid + y_lo
+        np.copyto(out, (xc - self.b_l) * self.k_l + self.y[:, 0], where=left)
+        np.copyto(out, (xc - self.b_r) * self.k_r + self.y[:, self.n_intervals], where=right)
         return self._from_columns(out, x)
 
     def backward(self, grad_out):
@@ -259,79 +280,61 @@ class PwluActivation(Layer):
             raise ShapeMismatchError(
                 f"{self.name}: input shape {self._x.shape} != upstream {grad_out.shape}"
             )
-        b_l, b_r, y, k_l, k_r = self._stacked()
-        n = self.units[0].n_intervals
+        idx, _, k_mid, b_idx, left, right = self._segments(xc)
+        b_l, b_r, k_l, k_r = self.b_l, self.b_r, self.k_l, self.k_r
+        n = self.n_intervals
         units = self.n_units
-        d = (b_r - b_l) / n
         width = b_r - b_l
-        idx = np.clip(np.floor((xc - b_l) / d), 0, n - 1).astype(np.int64)
-        cols = np.arange(units)
-        k_mid = (y[cols, idx + 1] - y[cols, idx]) / d
-        b_idx = b_l + idx * d
-        left = xc < b_l
-        right = xc >= b_r
+        d = width / n
         mid = ~(left | right)
 
         grad_in = up * np.where(left, k_l, np.where(right, k_r, k_mid))
 
+        # Each region's terms are selected, not multiplied by a 0/1 mask: an
+        # infinite input must add nothing outside its region, not 0 * inf.
         u_l = np.where(left, up, 0.0)
         u_r = np.where(right, up, 0.0)
-        u_m = np.where(mid, up, 0.0)
-        g_bl = (-k_l) * u_l.sum(axis=0) + (u_m * k_mid * (xc - b_r) / width).sum(axis=0)
-        g_br = (-k_r) * u_r.sum(axis=0) + (u_m * k_mid * (b_l - xc) / width).sum(axis=0)
-        g_kl = (u_l * (xc - b_l)).sum(axis=0)
-        g_kr = (u_r * (xc - b_r)).sum(axis=0)
+        self.g_b_l = (-k_l) * u_l.sum(axis=0) \
+            + np.where(mid, up * k_mid * (xc - b_r) / width, 0.0).sum(axis=0)
+        self.g_b_r = (-k_r) * u_r.sum(axis=0) \
+            + np.where(mid, up * k_mid * (b_l - xc) / width, 0.0).sum(axis=0)
+        self.g_k_l = np.where(left, up * (xc - b_l), 0.0).sum(axis=0)
+        self.g_k_r = np.where(right, up * (xc - b_r), 0.0).sum(axis=0)
 
         g_y = np.zeros((units, n + 1))
-        flat_lo = cols[None, :] * (n + 1) + idx
+        flat_lo = np.arange(units)[None, :] * (n + 1) + idx
         # np.add.at keeps a fixed accumulation order, so runs are reproducible.
-        np.add.at(g_y.ravel(), flat_lo.ravel(), (u_m * (b_idx + d - xc) / d).ravel())
-        np.add.at(g_y.ravel(), (flat_lo + 1).ravel(), (u_m * (xc - b_idx) / d).ravel())
+        np.add.at(g_y.ravel(), flat_lo.ravel(),
+                  np.where(mid, up * (b_idx + d - xc) / d, 0.0).ravel())
+        np.add.at(g_y.ravel(), (flat_lo + 1).ravel(),
+                  np.where(mid, up * (xc - b_idx) / d, 0.0).ravel())
         g_y[:, 0] += u_l.sum(axis=0)
         g_y[:, n] += u_r.sum(axis=0)
-
-        for u in range(units):
-            self._grads[u] = PwluGrads(
-                left_boundary=float(g_bl[u]),
-                right_boundary=float(g_br[u]),
-                y_points=g_y[u],
-                left_slope=float(g_kl[u]),
-                right_slope=float(g_kr[u]),
-                input_grad=grad_in[:, u],
-            )
+        self.g_y = g_y
         return self._from_columns(grad_in, grad_out)
 
     def step(self, lr, momentum, weight_decay):
         # Unit parameters never receive weight decay; decaying the heights
         # would bias every learned shape toward the zero function.
-        if self.frozen:
+        if self.frozen or self.g_y is None:
             return
-        lr = lr * self.lr_scale
-        for u, params in enumerate(self.units):
-            g = self._grads[u]
-            if g is None:
-                continue
-            v = self._velocity[u]
-            v["b_l"] = momentum * v["b_l"] + g.left_boundary
-            v["b_r"] = momentum * v["b_r"] + g.right_boundary
-            v["k_l"] = momentum * v["k_l"] + g.left_slope
-            v["k_r"] = momentum * v["k_r"] + g.right_slope
-            v["y"] = momentum * v["y"] + g.y_points
-            b_l = params.left_boundary - lr * v["b_l"]
-            b_r = params.right_boundary - lr * v["b_r"]
-            # Keep the interval from collapsing under a large boundary step;
-            # the floor is relative so it survives large magnitudes.
-            min_width = max(1e-6, 1e-9 * (abs(b_l) + abs(b_r)))
-            if b_r - b_l < min_width:
-                center = 0.5 * (b_l + b_r)
-                b_l, b_r = center - 0.5 * min_width, center + 0.5 * min_width
-            self.units[u] = PwluParams(
-                n_intervals=params.n_intervals,
-                left_boundary=b_l,
-                right_boundary=b_r,
-                y_points=params.y_points - lr * v["y"],
-                left_slope=params.left_slope - lr * v["k_l"],
-                right_slope=params.right_slope - lr * v["k_r"],
+        for f in ("b_l", "b_r", "y", "k_l", "k_r"):
+            sgd_momentum_step(getattr(self, f), getattr(self, f"g_{f}"), getattr(self, f"v_{f}"),
+                              lr, momentum, 0.0)
+        # Keep the interval from collapsing under a large boundary step;
+        # the floor is relative so it survives large magnitudes.
+        min_width = np.maximum(1e-6, 1e-9 * (np.abs(self.b_l) + np.abs(self.b_r)))
+        narrow = self.b_r - self.b_l < min_width
+        if narrow.any():
+            center = 0.5 * (self.b_l[narrow] + self.b_r[narrow])
+            self.b_l[narrow] = center - 0.5 * min_width[narrow]
+            self.b_r[narrow] = center + 0.5 * min_width[narrow]
+        width = self.b_r - self.b_l
+        # A finite width implies finite boundaries.
+        finite = all(np.isfinite(a).all() for a in (width, self.y, self.k_l, self.k_r))
+        if not finite or (width < MIN_BOUNDARY_WIDTH).any():
+            raise DegenerateParameterError(
+                f"{self.name}: a step left non-finite parameters or a collapsed interval"
             )
 
 
@@ -401,7 +404,7 @@ class Model:
 def build_mlp(widths: list[int], activation: str, rng: np.random.Generator,
               n_intervals: int = 16, granularity: str = "channel", half_width: float = 3.0,
               pwlu_frozen: bool = False, pwlu_collecting: bool = False,
-              pwlu_lr_scale: float = 1.0, seed: int = 0) -> Model:
+              seed: int = 0) -> Model:
     """MLP with the chosen activation after every hidden linear layer."""
     layers: list[Layer] = []
     for i in range(len(widths) - 1):
@@ -420,7 +423,6 @@ def build_mlp(widths: list[int], activation: str, rng: np.random.Generator,
                         half_width=half_width,
                         frozen=pwlu_frozen,
                         collecting=pwlu_collecting,
-                        lr_scale=pwlu_lr_scale,
                         seed=seed + i,
                         name=f"pwlu{i}",
                     )

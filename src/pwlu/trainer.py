@@ -55,8 +55,8 @@ class Trainer:
         """Reset every PWLU unit from its running statistics and unfreeze."""
         self.pre_reports = self._alignment_reports()
         for layer in self.model.pwlu_layers():
-            for u in range(layer.n_units):
-                layer.units[u] = realign_reset(layer.units[u], layer.stats[u])
+            for u, params in enumerate(layer.units):
+                layer.set_unit(u, realign_reset(params, layer.stats[u]))
             layer.frozen = False
             layer.collecting = False
         self.post_reports = self._alignment_reports()
@@ -109,14 +109,3 @@ class Trainer:
             for row in self.metrics:
                 writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f]
                                  for f in fields])
-
-
-def train_two_phase(model: Model, schedule: TrainSchedule,
-                    train_features, train_labels, batch_size: int = 64,
-                    test_features=None, test_labels=None):
-    """Run the full schedule and return (trainer, pre_reports, post_reports)."""
-    trainer = Trainer(model, schedule, train_features, train_labels,
-                      batch_size=batch_size,
-                      test_features=test_features, test_labels=test_labels)
-    trainer.run()
-    return trainer, trainer.pre_reports, trainer.post_reports

@@ -135,6 +135,19 @@ class TestExport:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw[:-9],                       # truncated tail
+        lambda raw: raw + b"\0" * 8,                # trailing bytes
+        lambda raw: raw[:20] + b"\xff" + raw[21:],  # header is not UTF-8 JSON
+    ])
+    def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, capsys, corrupt):
+        _, run = run_train(tmp_path)
+        path = run / "checkpoint.bin"
+        path.write_bytes(corrupt(path.read_bytes()))
+        code = main(["export", "--checkpoint", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: type=CheckpointError")
+
 
 class TestConfigFile:
     def test_precedence_cli_over_file_over_default(self, tmp_path):

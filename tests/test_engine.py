@@ -1,14 +1,23 @@
 """Engine tests: layer gradients, optimizer semantics, the two-phase trainer, checkpoints."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwlu.checkpoint import load_checkpoint, load_model, save_checkpoint
 from pwlu.data import gen_spirals, standardize
-from pwlu.errors import DegenerateParameterError, NonFiniteLossError, ShapeMismatchError
-from pwlu.kernel import forward_reference, init_pwlu_relu
+from pwlu.errors import (
+    CheckpointError,
+    DegenerateParameterError,
+    NonFiniteLossError,
+    PwluError,
+    ShapeMismatchError,
+)
+from pwlu.kernel import PwluParams, forward_reference, init_pwlu_relu
+from pwlu.kernel import backward as kernel_backward
 from pwlu.layers import (
     Conv2d,
     Dense,
@@ -166,6 +175,96 @@ class TestSgdStep:
             np.testing.assert_array_equal(b.y_points, a.y_points)
 
 
+@st.composite
+def banks(draw):
+    """A PWLU bank with random unit parameters and inputs that hit every edge case.
+
+    Each unit's column holds its grid points (boundaries included), +-inf,
+    and random values around its interval; NaNs sit in a separate row.
+    """
+    granularity = draw(st.sampled_from(["channel", "layer"]))
+    channels = draw(st.integers(1, 6))
+    n = 2 * draw(st.integers(1, 8))
+    layer = PwluActivation(channels, n_intervals=n, granularity=granularity)
+    floats = st.floats(-4.0, 4.0)
+    for u in range(layer.n_units):
+        b_l = draw(floats)
+        b_r = b_l + draw(st.floats(0.01, 8.0))
+        y = draw(st.lists(floats, min_size=n + 1, max_size=n + 1))
+        layer.set_unit(u, PwluParams(n, b_l, b_r, np.array(y), draw(floats), draw(floats)))
+    values = []
+    for p in layer.units:
+        extra = draw(st.lists(st.floats(p.left_boundary - 2.0, p.right_boundary + 2.0),
+                              min_size=1, max_size=8))
+        values.append(np.concatenate([p.grid(), [p.right_boundary, np.inf, -np.inf], extra]))
+    rows = max(v.size for v in values)
+    x = np.stack([np.resize(v, rows) for v in values], axis=1)
+    if granularity == "layer":
+        x = np.resize(x.ravel(), (rows, channels))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return layer, x, seed
+
+
+class TestPwluBank:
+    @staticmethod
+    def unit_inputs(layer, x):
+        """(unit index, params, that unit's inputs as one flat column)."""
+        cols = x.reshape(-1, 1) if layer.granularity == "layer" else x
+        return [(u, p, cols[:, u]) for u, p in enumerate(layer.units)]
+
+    @settings(deadline=None, max_examples=60)
+    @given(banks())
+    def test_forward_matches_single_unit_oracle(self, bank):
+        layer, x, _ = bank
+        out = layer.forward(x)
+        out_cols = self.unit_inputs(layer, out)
+        for (u, p, xu), (_, _, got) in zip(self.unit_inputs(layer, x), out_cols):
+            np.testing.assert_array_equal(got, forward_reference(xu, p))
+        nan_row = np.full((1, x.shape[1]), np.nan)
+        assert np.isnan(layer.forward(nan_row)).all()
+
+    @settings(deadline=None, max_examples=60)
+    @given(banks())
+    def test_gradients_match_single_unit_oracle(self, bank):
+        layer, x, seed = bank
+        up = np.random.default_rng(seed).normal(size=x.shape)
+        layer.forward(x)
+        grad_in = layer.backward(up)
+        up_cols = self.unit_inputs(layer, up)
+        grad_cols = self.unit_inputs(layer, grad_in)
+        for (u, p, xu), (_, _, upu), (_, _, giu) in zip(self.unit_inputs(layer, x),
+                                                       up_cols, grad_cols):
+            want = kernel_backward(xu, upu, p)
+            np.testing.assert_array_equal(giu, want.input_grad)
+            # per-unit sums run in another order; bound the error by the term sizes
+            finite = np.isfinite(xu)
+            scale = np.sum(np.abs(upu)) * (1.0 + np.max(np.abs(xu[finite]), initial=0.0))
+            scale *= 1.0 + np.max(np.abs(np.concatenate(
+                [np.diff(p.y_points) / p.interval_len, [p.left_slope, p.right_slope]])))
+            tol = dict(rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(layer.g_b_l[u], want.left_boundary, **tol)
+            np.testing.assert_allclose(layer.g_b_r[u], want.right_boundary, **tol)
+            np.testing.assert_allclose(layer.g_k_l[u], want.left_slope, **tol)
+            np.testing.assert_allclose(layer.g_k_r[u], want.right_slope, **tol)
+            np.testing.assert_allclose(layer.g_y[u], want.y_points, **tol)
+
+    @settings(deadline=None, max_examples=30)
+    @given(banks())
+    def test_units_read_only_and_set_unit_round_trips(self, bank):
+        layer, _, _ = bank
+        with pytest.raises(TypeError):
+            layer.units[0] = layer.units[0]
+        layer.units[0].y_points[:] = 99.0  # a snapshot, not a view of the bank
+        assert not np.any(layer.y[0] == 99.0)
+        want = layer.units[::-1]
+        for u, p in enumerate(want):
+            layer.set_unit(u, p)
+        for got, p in zip(layer.units, want):
+            assert (got.left_boundary, got.right_boundary, got.left_slope, got.right_slope) \
+                == (p.left_boundary, p.right_boundary, p.left_slope, p.right_slope)
+            np.testing.assert_array_equal(got.y_points, p.y_points)
+
+
 class TestSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -269,15 +368,18 @@ class TestTwoPhaseTraining:
         assert not trainer.pre_reports and not trainer.post_reports
         assert pwlu_checksum(model) != before  # gradients applied from iteration 0
 
-    def test_nonfinite_loss_names_layer(self):
+    @pytest.mark.parametrize("activation,widths,first_bad", [("relu", [2, 4, 2], "dense1"),
+                                                             ("pwlu", [2, 8, 8, 2], "pwlu0")],
+                             ids=["relu", "pwlu"])
+    def test_nonfinite_loss_names_layer(self, activation, widths, first_bad):
         x, labels = tiny_problem(seed=4)
-        model = build_mlp([2, 4, 2], "relu", np.random.default_rng(3))
+        model = build_mlp(widths, activation, np.random.default_rng(3))
         model.layers[0].weight *= 1e200
         sched = TrainSchedule(total_iterations=5, realign_iteration=0, base_lr=0.1, seed=3)
         trainer = Trainer(model, sched, x, labels, batch_size=16)
         with pytest.raises(NonFiniteLossError) as err:
             trainer.run()
-        assert err.value.layer_name
+        assert err.value.layer_name == first_bad
 
     def test_determinism(self):
         x, labels = tiny_problem(seed=5)
@@ -310,28 +412,27 @@ class TestEndToEndGradients:
         checked = 0
         for layer in model.pwlu_layers():
             for u in range(min(3, layer.n_units)):
-                grads = layer._grads[u]
-                params = layer.units[u]
-                for field in ("left_boundary", "right_boundary", "left_slope", "right_slope"):
-                    orig = getattr(params, field)
-                    setattr(params, field, orig + h)
+                for field in ("b_l", "b_r", "k_l", "k_r"):
+                    values = getattr(layer, field)
+                    orig = values[u]
+                    values[u] = orig + h
                     up = loss_value()
-                    setattr(params, field, orig - h)
+                    values[u] = orig - h
                     dn = loss_value()
-                    setattr(params, field, orig)
+                    values[u] = orig
                     fd = (up - dn) / (2 * h)
-                    analytic = getattr(grads, field)
+                    analytic = getattr(layer, f"g_{field}")[u]
                     assert abs(analytic - fd) <= max(1e-3 * abs(fd), 1e-6), (field, analytic, fd)
                     checked += 1
-                for j in range(params.n_intervals + 1):
-                    orig = params.y_points[j]
-                    params.y_points[j] = orig + h
+                for j in range(layer.n_intervals + 1):
+                    orig = layer.y[u, j]
+                    layer.y[u, j] = orig + h
                     up = loss_value()
-                    params.y_points[j] = orig - h
+                    layer.y[u, j] = orig - h
                     dn = loss_value()
-                    params.y_points[j] = orig
+                    layer.y[u, j] = orig
                     fd = (up - dn) / (2 * h)
-                    analytic = grads.y_points[j]
+                    analytic = layer.g_y[u, j]
                     assert abs(analytic - fd) <= max(1e-3 * abs(fd), 1e-6), (j, analytic, fd)
                     checked += 1
         assert checked > 20
@@ -381,6 +482,39 @@ class TestCheckpoint:
                 np.testing.assert_array_equal(la.weight, lb.weight)
                 np.testing.assert_array_equal(la.bias, lb.bias)
         assert resumed.metrics == straight.metrics
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        trainer = self.make_trainer()
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, trainer)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_model(path)
+
+    def test_fuzzed_checkpoints_never_crash_raw(self, tmp_path):
+        # truncated or corrupted files must fail with the package's own error types
+        trainer = self.make_trainer()
+        for _ in range(20):
+            trainer.step()
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, trainer)
+        good = path.read_bytes()
+        (hlen,) = struct.unpack("<I", good[8:12])
+        rng = np.random.default_rng(13)
+        cuts = [0, 7, 8, 11, 12, 13, 12 + hlen - 1, 12 + hlen, len(good) - 1]
+        cuts += rng.integers(0, len(good), 40).tolist()
+        corrupted = [good[:cut] for cut in cuts]
+        for _ in range(150):
+            raw = bytearray(good)
+            k = int(rng.integers(8, 12 + hlen))
+            raw[k] = int(rng.integers(0, 256))
+            corrupted.append(bytes(raw))
+        for raw in corrupted:
+            path.write_bytes(raw)
+            try:
+                load_checkpoint(path, trainer.train_features, trainer.train_labels)
+            except PwluError:
+                pass
 
     def test_load_model_only(self, tmp_path):
         trainer = self.make_trainer()
