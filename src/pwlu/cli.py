@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -24,59 +25,44 @@ from .optim import TrainSchedule
 from .stats import write_alignment_csv
 from .trainer import Trainer
 
-DEFAULTS = {
-    "dataset": "spirals",
-    "arch": "2,32,32,2",
-    "activation": "pwlu",
-    "n_intervals": 16,
-    "granularity": "channel",
-    "realign": "on",
-    "t_prime_epochs": 5,
-    "half_width": 3.0,
-    "epochs": 60,
-    "lr": 0.1,
-    "momentum": 0.9,
-    "weight_decay": 0.0,
-    "batch_size": 64,
-    "seed": 0,
-    "out": "run_out",
-    "n_per_class": 600,
-    "noise": 0.02,
-    "n_list": "4,8,12,16,20",
-    "repetitions": 500,
-    "batch_elems": 1_000_000,
-    "checkpoint": "",
-}
 
-_INT_FIELDS = {"n_intervals", "t_prime_epochs", "epochs", "batch_size", "seed",
-               "n_per_class", "repetitions", "batch_elems"}
-_FLOAT_FIELDS = {"half_width", "lr", "momentum", "weight_decay", "noise"}
+def _option(default, help=None, choices=None):
+    """A RunConfig field with its --flag help text and, if given, its allowed values."""
+    if choices:
+        help = "|".join(choices)
+    return dataclasses.field(default=default, metadata={"help": help, "choices": choices})
 
 
 @dataclasses.dataclass
 class RunConfig:
+    """The resolved run configuration.
+
+    Every field after `subcommand` is one option: `--flag-name` on the command
+    line and `flag_name=value` in a config file, coerced to its annotated type.
+    """
+
     subcommand: str
-    dataset: str
-    arch: str
-    activation: str
-    n_intervals: int
-    granularity: str
-    realign: str
-    t_prime_epochs: int
-    half_width: float
-    epochs: int
-    lr: float
-    momentum: float
-    weight_decay: float
-    batch_size: int
-    seed: int
-    out: str
-    n_per_class: int
-    noise: float
-    n_list: str
-    repetitions: int
-    batch_elems: int
-    checkpoint: str
+    dataset: str = _option("spirals", "spirals | idx:IMAGES,LABELS")
+    arch: str = _option("2,32,32,2", "comma-separated layer widths")
+    activation: str = _option("pwlu", choices=("relu", "swish", "pwlu"))
+    n_intervals: int = 16
+    granularity: str = _option("channel", choices=("layer", "channel"))
+    realign: str = _option("on", choices=("on", "off"))
+    t_prime_epochs: int = 5
+    half_width: float = 3.0
+    epochs: int = 60
+    lr: float = 0.1
+    momentum: float = 0.9
+    weight_decay: float = 0.0
+    batch_size: int = 64
+    seed: int = 0
+    out: str = _option("run_out", "output directory")
+    n_per_class: int = 600
+    noise: float = 0.02
+    n_list: str = _option("4,8,12,16,20", "comma-separated interval counts for sweep-n")
+    repetitions: int = 500
+    batch_elems: int = 1_000_000
+    checkpoint: str = ""
 
     def widths(self) -> list[int]:
         try:
@@ -109,22 +95,30 @@ class RunConfig:
                     "dataset",
                     f"must be 'spirals' or 'idx:IMAGES,LABELS', got {self.dataset!r}",
                 )
-        if self.activation not in ("relu", "swish", "pwlu"):
-            raise ConfigError("activation", f"must be relu|swish|pwlu, got {self.activation!r}")
-        if self.granularity not in ("layer", "channel"):
-            raise ConfigError("granularity", f"must be layer|channel, got {self.granularity!r}")
-        if self.realign not in ("on", "off"):
-            raise ConfigError("realign", f"must be on|off, got {self.realign!r}")
+        for name, option in _OPTIONS.items():
+            value, choices = getattr(self, name), option.metadata.get("choices")
+            if choices and value not in choices:
+                raise ConfigError(name, f"must be {'|'.join(choices)}, got {value!r}")
         if self.n_intervals < 2 or self.n_intervals % 2 != 0:
             raise ConfigError("n_intervals", f"must be even and >= 2, got {self.n_intervals}")
-        if self.half_width <= 0:
+        if not self.half_width > 0:
             raise ConfigError("half_width", f"must be positive, got {self.half_width}")
         if self.epochs < 0:
             raise ConfigError("epochs", f"must be >= 0, got {self.epochs}")
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ConfigError("lr", f"must be >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
+        if self.n_per_class < 1:
+            raise ConfigError("n_per_class", f"must be >= 1, got {self.n_per_class}")
+        if not self.noise >= 0:
+            raise ConfigError("noise", f"must be >= 0, got {self.noise}")
+        if self.repetitions < 1:
+            raise ConfigError("repetitions", f"must be >= 1, got {self.repetitions}")
+        if self.batch_elems < 1:
+            raise ConfigError("batch_elems", f"must be >= 1, got {self.batch_elems}")
         if self.realign == "on" and self.activation == "pwlu":
             if not 1 <= self.t_prime_epochs < max(1, self.epochs):
                 raise ConfigError(
@@ -136,9 +130,17 @@ class RunConfig:
             self.n_values()
 
 
+_OPTIONS = {f.name: f for f in dataclasses.fields(RunConfig) if f.name != "subcommand"}
+_TYPES = typing.get_type_hints(RunConfig)
+
+
 def _parse_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}")
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -149,34 +151,33 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(key: str, value):
-    if key in _INT_FIELDS:
-        return int(value)
-    if key in _FLOAT_FIELDS:
-        return float(value)
-    return str(value)
+def _coerce(name: str, value: str):
+    """Convert a flag or config-file string to the option's annotated type."""
+    kind = _TYPES[name]
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(name, f"not a valid {kind.__name__}: {value!r}")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(DEFAULTS)
+    merged = {}
     if args.config:
         for key, value in _parse_config_file(args.config).items():
-            if key not in DEFAULTS:
+            if key not in _OPTIONS:
                 raise ConfigError("config", f"unknown key {key!r} in {args.config}")
             merged[key] = _coerce(key, value)
-    for key in DEFAULTS:
-        cli_value = getattr(args, key.replace("-", "_"), None)
+    for name in _OPTIONS:
+        cli_value = getattr(args, name)
         if cli_value is not None:
-            merged[key] = _coerce(key, cli_value)
+            merged[name] = _coerce(name, cli_value)
     config = RunConfig(subcommand=args.subcommand, **merged)
     config.validate()
     return config
 
 
 def _write_resolved_config(config: RunConfig, out_dir: Path) -> None:
-    lines = []
-    for key in sorted(DEFAULTS):
-        lines.append(f"{key}={getattr(config, key)}")
+    lines = [f"{name}={getattr(config, name)}" for name in sorted(_OPTIONS)]
     (out_dir / "config.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -324,37 +325,22 @@ def cmd_export(config: RunConfig) -> int:
     return 0
 
 
+COMMANDS = {"train": cmd_train, "sweep-n": cmd_sweep_n, "bench": cmd_bench, "export": cmd_export}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pwlu",
         description="Train and inspect piecewise-linear-unit activation networks.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("train", "sweep-n", "bench", "export"):
-        p = sub.add_parser(name)
+    for command in COMMANDS:
+        p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--dataset", default=None, help="spirals | idx:IMAGES,LABELS")
-        p.add_argument("--arch", default=None, help="comma-separated layer widths")
-        p.add_argument("--activation", default=None, choices=["relu", "swish", "pwlu"])
-        p.add_argument("--n-intervals", dest="n_intervals", type=int, default=None)
-        p.add_argument("--granularity", default=None, choices=["layer", "channel"])
-        p.add_argument("--realign", default=None, choices=["on", "off"])
-        p.add_argument("--t-prime-epochs", dest="t_prime_epochs", type=int, default=None)
-        p.add_argument("--half-width", dest="half_width", type=float, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--momentum", type=float, default=None)
-        p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-        p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--n-per-class", dest="n_per_class", type=int, default=None)
-        p.add_argument("--noise", type=float, default=None)
-        p.add_argument("--n-list", dest="n_list", default=None,
-                       help="comma-separated interval counts for sweep-n")
-        p.add_argument("--repetitions", type=int, default=None)
-        p.add_argument("--batch-elems", dest="batch_elems", type=int, default=None)
-        p.add_argument("--checkpoint", default=None)
+        # Values stay strings here; resolve_config coerces and validates them.
+        for name, option in _OPTIONS.items():
+            p.add_argument("--" + name.replace("_", "-"), default=None,
+                           help=option.metadata.get("help"))
     return parser
 
 
@@ -362,13 +348,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        handler = {
-            "train": cmd_train,
-            "sweep-n": cmd_sweep_n,
-            "bench": cmd_bench,
-            "export": cmd_export,
-        }[config.subcommand]
-        return handler(config)
+        return COMMANDS[config.subcommand](config)
     except ConfigError as exc:
         print(f"error: field={exc.field} message={exc.message}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagicError, CountMismatchError, TruncatedPayloadError
+from .errors import BadMagicError, CountMismatchError, IdxFormatError, TruncatedPayloadError
 from .kernel import PwluParams, forward_reference
 from .layers import Model
 
@@ -71,8 +71,11 @@ def standardize(train: LabeledDataset, *others: LabeledDataset):
 
 
 def _read_idx(path: str, expected_magic: int, n_dims: int):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise IdxFormatError(f"cannot open IDX file {path}: {exc}") from exc
     if len(raw) < 4 + 4 * n_dims:
         raise TruncatedPayloadError(f"{path}: file shorter than its own header")
     (magic,) = struct.unpack(">I", raw[:4])

@@ -116,10 +116,11 @@ def interval_index(x, params: PwluParams):
     """Index of the segment containing x, for x inside the boundary interval.
 
     Floating-point floor can land exactly on n_intervals for x just below
-    the right boundary; the result is clamped to n_intervals - 1.
+    the right boundary; the result is clamped to n_intervals - 1.  NaN gets
+    index 0, so the segment arithmetic carries it through to a NaN output.
     """
     raw = np.floor((np.asarray(x, dtype=np.float64) - params.left_boundary) / params.interval_len)
-    return np.clip(raw, 0, params.n_intervals - 1).astype(np.int64)
+    return np.clip(np.nan_to_num(raw, nan=0.0), 0, params.n_intervals - 1).astype(np.int64)
 
 
 def forward_reference(x, params: PwluParams) -> np.ndarray:
@@ -242,10 +243,11 @@ def forward_fused(x, table: FusedPwluTable) -> np.ndarray:
     """Single multiply-add evaluation via the precomputed table.
 
     The extended index clip(floor((x - B_L)/d), -1, N) folds the two outer
-    branches into the same gather as the interior segments.
+    branches into the same gather as the interior segments.  NaN takes the
+    left branch, whose multiply-add keeps it NaN.
     """
     x = np.asarray(x, dtype=table.slopes.dtype)
-    idx = np.floor((x - table.left_boundary) * table.inv_interval_len)
+    idx = np.nan_to_num(np.floor((x - table.left_boundary) * table.inv_interval_len), nan=-1.0)
     idx = np.clip(idx, -1, table.n_intervals).astype(np.int64) + 1
     return x * table.slopes[idx] + table.offsets[idx]
 

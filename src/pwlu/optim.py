@@ -44,17 +44,6 @@ class TrainSchedule:
                 f"[0, {self.total_iterations})"
             )
 
-    @staticmethod
-    def from_epochs(epochs: int, t_prime_epochs: int, iters_per_epoch: int,
-                    base_lr: float, **kwargs) -> "TrainSchedule":
-        """Convert an epoch-denominated budget into iterations."""
-        return TrainSchedule(
-            total_iterations=epochs * iters_per_epoch,
-            realign_iteration=t_prime_epochs * iters_per_epoch,
-            base_lr=base_lr,
-            **kwargs,
-        )
-
     def lr_at(self, t: int) -> float:
         if self.total_iterations == 0:
             return 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pwlu import cli
 from pwlu.checkpoint import load_model
 from pwlu.cli import main
 from pwlu.data import load_shape_params
@@ -31,6 +32,16 @@ class TestValidation:
         (["sweep-n", "--n-list", "4,7"], "n_list"),
         (["train", "--dataset", "idx:only_one_path"], "dataset"),
         (["export"], "checkpoint"),
+        (["train", "--n-per-class", "0"], "n_per_class"),
+        (["train", "--noise", "-1"], "noise"),
+        (["bench", "--repetitions", "0"], "repetitions"),
+        (["train", "--half-width", "nan"], "half_width"),
+        (["train", "--lr", "nan"], "lr"),
+        (["train", "--noise", "nan"], "noise"),
+        (["train", "--activation", "foo"], "activation"),
+        (["train", "--epochs", "abc"], "epochs"),
+        (["train", "--seed", "-1"], "seed"),
+        (["bench", "--batch-elems", "-5"], "batch_elems"),
     ])
     def test_rejected_with_exit_2(self, capsys, argv, field):
         assert main(argv) == 2
@@ -80,6 +91,13 @@ class TestTrain:
             for pa, pb in zip(la.units, lb.units):
                 np.testing.assert_array_equal(pa.y_points, pb.y_points)
         assert not (out / "alignment_pre.csv").exists()
+
+    def test_missing_idx_file_is_runtime_error(self, tmp_path, capsys):
+        images, labels = tmp_path / "nope.idx", tmp_path / "nope2.idx"
+        code = main(["train", "--dataset", f"idx:{images},{labels}",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: type=IdxFormatError")
 
     def test_relu_baseline_runs(self, tmp_path, capsys):
         code, out = run_train(tmp_path, extra=["--activation", "relu"])
@@ -179,3 +197,27 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
         assert main(["train", "--config", str(cfg)]) == 2
+
+    def test_unparsable_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epochs=abc\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "field=epochs" in capsys.readouterr().err
+
+    def test_missing_file_rejected(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2
+        assert "field=config" in capsys.readouterr().err
+
+    def test_default_config_txt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_training", lambda config, out_dir: {
+            "final_test_accuracy": 0.0, "final_train_loss": 0.0})
+        out = tmp_path / "o"
+        assert main(["train", "--out", str(out)]) == 0
+        assert (out / "config.txt").read_text() == "".join(f"{line}\n" for line in [
+            "activation=pwlu", "arch=2,32,32,2", "batch_elems=1000000", "batch_size=64",
+            "checkpoint=", "dataset=spirals", "epochs=60", "granularity=channel",
+            "half_width=3.0", "lr=0.1", "momentum=0.9", "n_intervals=16",
+            "n_list=4,8,12,16,20", "n_per_class=600", "noise=0.02", f"out={out}",
+            "realign=on", "repetitions=500", "seed=0", "t_prime_epochs=5",
+            "weight_decay=0.0",
+        ])

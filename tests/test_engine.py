@@ -221,7 +221,11 @@ class TestPwluBank:
         for (u, p, xu), (_, _, got) in zip(self.unit_inputs(layer, x), out_cols):
             np.testing.assert_array_equal(got, forward_reference(xu, p))
         nan_row = np.full((1, x.shape[1]), np.nan)
-        assert np.isnan(layer.forward(nan_row)).all()
+        nan_out = layer.forward(nan_row)
+        assert np.isnan(nan_out).all()
+        for (u, p, xu), (_, _, got) in zip(self.unit_inputs(layer, nan_row),
+                                           self.unit_inputs(layer, nan_out)):
+            np.testing.assert_array_equal(got, forward_reference(xu, p))
 
     @settings(deadline=None, max_examples=60)
     @given(banks())

@@ -136,6 +136,10 @@ class TestBackward:
         # K_idx*(B_L - x)/(B_R - B_L) = 2*(-1.5)/2; finite differences agree.
         assert g.right_boundary == pytest.approx(-1.5)
 
+    def test_nan_input(self):
+        g = backward(np.array([np.nan, 0.5]), np.ones(2), v_params())
+        assert np.isnan(g.left_boundary) and np.isnan(g.y_points[:2]).all()
+
     def test_left_region_rows(self):
         p = v_params()
         g = backward(np.array([-3.0]), np.array([1.0]), p)
@@ -274,6 +278,11 @@ class TestFused:
         b = forward_fused(xs, t)
         scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
         assert np.max(np.abs(a - b) / scale) <= 8 * EPS
+
+    def test_nan_gives_nan(self):
+        for dtype in (np.float64, np.float32):
+            out = forward_fused(np.array([np.nan, 0.5]), build_fused(v_params(), dtype=dtype))
+            assert np.isnan(out[0]) and out[1] == 0.0
 
     def test_single_precision_table(self):
         p = v_params()
