@@ -59,9 +59,9 @@ def _layer_manifest(layer):
             "frozen": layer.frozen, "collecting": layer.collecting,
             "stats": [{"mean": s.mean, "std": s.std, "count": s.update_count}
                       for s in layer.stats],
-            "reservoir_seen": [r.seen for r in layer.reservoirs],
-            "reservoir_capacity": layer.reservoirs[0].capacity,
-            "reservoir_rng": [r.rng.bit_generator.state for r in layer.reservoirs],
+            "reservoir_seen": [layer.reservoir.seen] * layer.n_units,
+            "reservoir_capacity": layer.reservoir.capacity,
+            "reservoir_rng": [rng.bit_generator.state for rng in layer.reservoir.rngs],
         }
         edges = np.stack([layer.b_l, layer.b_r, layer.k_l, layer.k_r], axis=1)
         v_edges = np.stack([layer.v_b_l, layer.v_b_r, layer.v_k_l, layer.v_k_r], axis=1)
@@ -72,7 +72,7 @@ def _layer_manifest(layer):
                 (f"unit{u}_y", layer.y[u]),
                 (f"unit{u}_v_edges", v_edges[u]),
                 (f"unit{u}_v_y", layer.v_y[u]),
-                (f"unit{u}_reservoir", layer.reservoirs[u].buffer),
+                (f"unit{u}_reservoir", layer.reservoir.buffer[u]),
             ]
     else:
         raise TypeError(f"cannot checkpoint layer type {type(layer).__name__}")
@@ -108,20 +108,23 @@ def _rebuild_layer(meta, arrays):
     elif kind == "pwlu":
         per_unit = 5
         for u in range(layer.n_units):
-            edge, y, v_edge, v_y, buf = arrays[u * per_unit:(u + 1) * per_unit]
+            edge, y, v_edge, v_y, _ = arrays[u * per_unit:(u + 1) * per_unit]
             layer.set_unit(u, PwluParams(
                 n_intervals=layer.n_intervals, left_boundary=edge[0], right_boundary=edge[1],
                 y_points=y, left_slope=edge[2], right_slope=edge[3],
             ))
             layer.v_b_l[u], layer.v_b_r[u], layer.v_k_l[u], layer.v_k_r[u] = v_edge
             layer.v_y[u] = v_y
-            s = meta["stats"][u]
-            layer.stats[u] = RunningStats(mean=s["mean"], std=s["std"],
-                                          update_count=s["count"])
-            res = layer.reservoirs[u]
-            res.buffer = buf
-            res.seen = meta["reservoir_seen"][u]
-            res.rng.bit_generator.state = meta["reservoir_rng"][u]
+        stats, seen, states = meta["stats"], meta["reservoir_seen"], meta["reservoir_rng"]
+        if ({len(stats), len(seen), len(states)} != {layer.n_units}
+                or len({s["count"] for s in stats}) > 1 or len(set(seen)) > 1):
+            raise CheckpointError(f"layer {meta['name']!r}: units must share their counts")
+        mean, std = np.array([[s["mean"], s["std"]] for s in stats], dtype=float).T
+        layer.running_stats = RunningStats(mean, std, stats[0]["count"])
+        layer.reservoir.buffer = np.stack(arrays[per_unit - 1::per_unit])
+        layer.reservoir.seen = seen[0]
+        for rng, state in zip(layer.reservoir.rngs, states):
+            rng.bit_generator.state = state
     return layer
 
 

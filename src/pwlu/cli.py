@@ -99,13 +99,15 @@ class RunConfig:
             value, choices = getattr(self, name), option.metadata.get("choices")
             if choices and value not in choices:
                 raise ConfigError(name, f"must be {'|'.join(choices)}, got {value!r}")
+            if _TYPES[name] is float and not np.isfinite(value):
+                raise ConfigError(name, f"must be finite, got {value}")
         if self.n_intervals < 2 or self.n_intervals % 2 != 0:
             raise ConfigError("n_intervals", f"must be even and >= 2, got {self.n_intervals}")
-        if not self.half_width > 0:
+        if self.half_width <= 0:
             raise ConfigError("half_width", f"must be positive, got {self.half_width}")
         if self.epochs < 0:
             raise ConfigError("epochs", f"must be >= 0, got {self.epochs}")
-        if not self.lr >= 0:
+        if self.lr < 0:
             raise ConfigError("lr", f"must be >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
@@ -113,7 +115,7 @@ class RunConfig:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         if self.n_per_class < 1:
             raise ConfigError("n_per_class", f"must be >= 1, got {self.n_per_class}")
-        if not self.noise >= 0:
+        if self.noise < 0:
             raise ConfigError("noise", f"must be >= 0, got {self.noise}")
         if self.repetitions < 1:
             raise ConfigError("repetitions", f"must be >= 1, got {self.repetitions}")

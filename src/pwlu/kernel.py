@@ -69,16 +69,6 @@ class PwluParams:
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(self.y_points))):
             raise DegenerateParameterError("parameters contain non-finite values")
 
-    def copy(self) -> "PwluParams":
-        return PwluParams(
-            n_intervals=self.n_intervals,
-            left_boundary=self.left_boundary,
-            right_boundary=self.right_boundary,
-            y_points=self.y_points.copy(),
-            left_slope=self.left_slope,
-            right_slope=self.right_slope,
-        )
-
 
 @dataclass(eq=False)
 class PwluGrads:

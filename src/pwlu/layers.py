@@ -170,6 +170,8 @@ class PwluActivation(Layer):
     b_l, b_r, k_l, k_r of shape (U,) and y of shape (U, N+1), with
     velocities v_* and gradients g_* of the same shapes.  `units` is a
     read-only snapshot of them as PwluParams; `set_unit` writes one unit.
+    So are `running_stats`, with (U,) mean and std, and the U streams of
+    `reservoir`; `stats` is a read-only snapshot of them as RunningStats.
     """
 
     def __init__(self, n_channels: int, n_intervals: int = 16, granularity: str = "channel",
@@ -193,10 +195,8 @@ class PwluActivation(Layer):
         )
         # None until the first backward pass; step() does nothing before it.
         self.g_b_l = self.g_b_r = self.g_y = self.g_k_l = self.g_k_r = None
-        self.stats = [RunningStats() for _ in range(self.n_units)]
-        self.reservoirs = [
-            Reservoir(seed=seed * 100003 + u) for u in range(self.n_units)
-        ]
+        self.running_stats = RunningStats(np.zeros(self.n_units), np.ones(self.n_units))
+        self.reservoir = Reservoir(seed=[seed * 100003 + u for u in range(self.n_units)])
         self.frozen = frozen
         self.collecting = collecting
         self._x = None
@@ -207,6 +207,13 @@ class PwluActivation(Layer):
         fields = zip(self.b_l, self.b_r, self.y.copy(), self.k_l, self.k_r)
         return tuple(PwluParams(self.n_intervals, *unit) for unit in fields)
 
+    @property
+    def stats(self) -> tuple[RunningStats, ...]:
+        """A read-only snapshot of every unit's running statistics."""
+        s = self.running_stats
+        return tuple(RunningStats(mean, std, s.update_count)
+                     for mean, std in zip(s.mean.tolist(), s.std.tolist()))
+
     def set_unit(self, u: int, params: PwluParams) -> None:
         """Overwrite unit u's parameters; its velocities are kept."""
         self.b_l[u] = params.left_boundary
@@ -214,11 +221,6 @@ class PwluActivation(Layer):
         self.y[u] = params.y_points
         self.k_l[u] = params.left_slope
         self.k_r[u] = params.right_slope
-
-    def _unit_slice(self, x, u):
-        if self.granularity == "layer":
-            return x
-        return x[:, u]
 
     def _to_columns(self, x):
         """Flatten to (elements, units): channel axis last, all else merged."""
@@ -258,13 +260,12 @@ class PwluActivation(Layer):
                 f"{self.name}: expected channel axis of size {self.n_channels}, got {x.shape}"
             )
         self._x = x
-        if training and self.collecting:
-            for u in range(self.n_units):
-                xs = self._unit_slice(x, u)
-                self.stats[u] = update_stats(self.stats[u], xs)
-                self.reservoirs[u].extend(xs)
-
         xc = self._to_columns(x)
+        if training and self.collecting:
+            # Contiguous rows reduce in the same order as each unit's values alone.
+            rows = np.ascontiguousarray(xc.T)
+            self.running_stats = update_stats(self.running_stats, rows)
+            self.reservoir.extend(rows)
         y_lo, k_mid, b_idx, left, right = self._segments(xc)[1:]
         # Overwriting the outer regions in place keeps fewer full-size
         # temporaries alive than a nested np.where over three branches.

@@ -29,23 +29,23 @@ RESERVOIR_CAPACITY = 4096
 
 @dataclass(frozen=True)
 class RunningStats:
-    """Exponential moving average of a unit's input mean and std."""
+    """Exponential moving average of input mean and std: of one unit, or as arrays of a bank."""
 
-    mean: float = 0.0
-    std: float = 1.0
+    mean: float | np.ndarray = 0.0
+    std: float | np.ndarray = 1.0
     update_count: int = 0
 
 
 def update_stats(stats: RunningStats, batch, momentum: float = STATS_MOMENTUM) -> RunningStats:
-    """Blend one batch into the running statistics: new = momentum*old + (1-momentum)*batch."""
+    """Blend each row of a batch into the stats: new = momentum*old + (1-momentum)*batch."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.size == 0:
         raise EmptyBatchError("cannot update running statistics from an empty batch")
-    return RunningStats(
-        mean=momentum * stats.mean + (1.0 - momentum) * float(batch.mean()),
-        std=momentum * stats.std + (1.0 - momentum) * float(batch.std(ddof=STD_DDOF)),
-        update_count=stats.update_count + 1,
-    )
+    mean = momentum * stats.mean + (1.0 - momentum) * batch.mean(axis=-1)
+    std = momentum * stats.std + (1.0 - momentum) * batch.std(axis=-1, ddof=STD_DDOF)
+    if batch.ndim == 1:  # one unit keeps plain floats
+        mean, std = float(mean), float(std)
+    return RunningStats(mean=mean, std=std, update_count=stats.update_count + 1)
 
 
 def realign_reset(params: PwluParams, stats: RunningStats) -> PwluParams:
@@ -96,49 +96,52 @@ def compute_iou(interval_a, interval_b) -> float:
 
 
 def percentile_interval(samples, lo: float = 0.05, hi: float = 0.95, min_samples: int = 20):
-    """Nearest-rank percentile interval [p_lo, p_hi] of the retained samples."""
-    samples = np.sort(np.asarray(samples, dtype=np.float64).ravel())
-    n = samples.size
+    """Nearest-rank percentile interval [p_lo, p_hi] along the last axis (floats, or lists)."""
+    samples = np.sort(np.asarray(samples, dtype=np.float64), axis=-1)
+    n = samples.shape[-1]
     if n < min_samples:
         raise InsufficientSamplesError(f"need at least {min_samples} samples, got {n}")
     rank_lo = int(np.ceil(lo * n)) - 1
     rank_hi = int(np.ceil(hi * n)) - 1
-    return float(samples[rank_lo]), float(samples[rank_hi])
+    return samples[..., rank_lo].tolist(), samples[..., rank_hi].tolist()
 
 
 class Reservoir:
-    """Fixed-capacity uniform reservoir sample of a value stream (algorithm R)."""
+    """Fixed-capacity uniform samples (algorithm R) of one stream, or of one per seed in a list."""
 
-    def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int = 0):
+    def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int | list[int] = 0):
         self.capacity = capacity
         # zero-filled so a partially filled buffer serializes deterministically
-        self.buffer = np.zeros(capacity, dtype=np.float64)
+        self.buffer = np.zeros(np.shape(seed) + (capacity,), dtype=np.float64)
         self.seen = 0
-        self.rng = np.random.default_rng(seed)
+        self.rngs = [np.random.default_rng(s) for s in np.ravel(seed).tolist()]
 
     def extend(self, values) -> None:
-        vals = np.asarray(values, dtype=np.float64).ravel()
+        vals = np.asarray(values, dtype=np.float64).reshape(self.buffer.shape[:-1] + (-1,))
         start = 0
         if self.seen < self.capacity:
-            take = min(self.capacity - self.seen, vals.size)
-            self.buffer[self.seen:self.seen + take] = vals[:take]
+            take = min(self.capacity - self.seen, vals.shape[-1])
+            self.buffer[..., self.seen:self.seen + take] = vals[..., :take]
             self.seen += take
             start = take
-        rest = vals[start:]
+        rest = vals[..., start:].reshape(len(self.rngs), -1)
         if rest.size:
             # Item number t replaces slot j ~ uniform[0, t) when j < capacity;
             # drawing all j at once matches the per-item loop bit for bit.
-            counts = self.seen + 1 + np.arange(rest.size)
-            slots = self.rng.integers(0, counts)
-            for k in np.nonzero(slots < self.capacity)[0]:
-                self.buffer[slots[k]] = rest[k]
-            self.seen += rest.size
+            counts = self.seen + 1 + np.arange(rest.shape[1])
+            slots = np.stack([rng.integers(0, counts) for rng in self.rngs])
+            kept = slots < self.capacity
+            flat = (np.arange(len(self.rngs))[:, None] * self.capacity + slots)[kept]
+            # When a slot is drawn twice the later item wins, as in the loop.
+            last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]
+            self.buffer.put(flat[last], rest[kept][last])
+            self.seen += rest.shape[1]
 
     def values(self) -> np.ndarray:
-        return self.buffer[: min(self.seen, self.capacity)].copy()
+        return self.buffer[..., : min(self.seen, self.capacity)].copy()
 
     def percentile_interval(self, lo: float = 0.05, hi: float = 0.95):
-        return percentile_interval(self.values(), lo=lo, hi=hi)
+        return percentile_interval(self.buffer[..., : min(self.seen, self.capacity)], lo=lo, hi=hi)
 
 
 @dataclass(frozen=True)

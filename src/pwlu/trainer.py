@@ -46,8 +46,8 @@ class Trainer:
     def _alignment_reports(self) -> list[AlignmentReport]:
         reports = []
         for layer in self.model.pwlu_layers():
-            for u, params in enumerate(layer.units):
-                p05, p95 = layer.reservoirs[u].percentile_interval()
+            intervals = zip(layer.units, *layer.reservoir.percentile_interval())
+            for u, (params, p05, p95) in enumerate(intervals):
                 reports.append(AlignmentReport.from_unit(layer.name, u, params, p05, p95))
         return reports
 
@@ -55,8 +55,8 @@ class Trainer:
         """Reset every PWLU unit from its running statistics and unfreeze."""
         self.pre_reports = self._alignment_reports()
         for layer in self.model.pwlu_layers():
-            for u, params in enumerate(layer.units):
-                layer.set_unit(u, realign_reset(params, layer.stats[u]))
+            for u, (params, stats) in enumerate(zip(layer.units, layer.stats)):
+                layer.set_unit(u, realign_reset(params, stats))
             layer.frozen = False
             layer.collecting = False
         self.post_reports = self._alignment_reports()

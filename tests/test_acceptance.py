@@ -210,7 +210,7 @@ def test_criterion_5_realignment_contract():
         layer.forward(rng.normal(5.0, 1.0, size=(64, 4)), training=True)
     pre_ious, post_ious, bounds_ok = [], [], True
     for u in range(4):
-        p05, p95 = layer.reservoirs[u].percentile_interval()
+        p05, p95 = (q[u] for q in layer.reservoir.percentile_interval())
         pre = layer.units[u]
         pre_ious.append(compute_iou((pre.left_boundary, pre.right_boundary), (p05, p95)))
         post = realign_reset(pre, layer.stats[u])

@@ -42,6 +42,12 @@ class TestValidation:
         (["train", "--epochs", "abc"], "epochs"),
         (["train", "--seed", "-1"], "seed"),
         (["bench", "--batch-elems", "-5"], "batch_elems"),
+        (["train", "--half-width", "inf"], "half_width"),
+        (["train", "--momentum", "nan"], "momentum"),
+        (["train", "--momentum", "inf"], "momentum"),
+        (["train", "--weight-decay", "nan"], "weight_decay"),
+        (["train", "--lr", "inf"], "lr"),
+        (["train", "--noise", "inf"], "noise"),
     ])
     def test_rejected_with_exit_2(self, capsys, argv, field):
         assert main(argv) == 2

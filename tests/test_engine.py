@@ -1,11 +1,12 @@
 """Engine tests: layer gradients, optimizer semantics, the two-phase trainer, checkpoints."""
 
 import hashlib
+import json
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pwlu.checkpoint import load_checkpoint, load_model, save_checkpoint
 from pwlu.data import gen_spirals, standardize
@@ -27,6 +28,7 @@ from pwlu.layers import (
     softmax_xent_forward,
 )
 from pwlu.optim import TrainSchedule, sgd_momentum_step
+from pwlu.stats import Reservoir, RunningStats, update_stats
 from pwlu.trainer import Trainer
 
 
@@ -168,7 +170,7 @@ class TestSgdStep:
         x = np.random.default_rng(0).normal(size=(16, 3))
         layer.forward(x, training=True)
         layer.backward(np.ones_like(x))
-        before = [p.copy() for p in layer.units]
+        before = layer.units
         layer.step(lr=0.5, momentum=0.9, weight_decay=0.1)
         for b, a in zip(before, layer.units):
             assert b.left_boundary == a.left_boundary
@@ -268,6 +270,45 @@ class TestPwluBank:
                 == (p.left_boundary, p.right_boundary, p.left_slope, p.right_slope)
             np.testing.assert_array_equal(got.y_points, p.y_points)
 
+    @settings(deadline=None, max_examples=30)
+    @given(st.sampled_from(["channel", "layer"]), st.integers(1, 5),
+           st.lists(st.integers(1, 3000), min_size=1, max_size=4), st.integers(0, 1000))
+    @example("channel", 3, [3000, 2000, 64], 7)  # fills the reservoirs, then replaces
+    @example("layer", 2, [1500, 1500], 3)
+    def test_collection_matches_per_unit_stats_and_reservoirs(self, granularity, channels,
+                                                              sizes, seed):
+        layer = PwluActivation(channels, n_intervals=4, granularity=granularity,
+                               frozen=True, collecting=True, seed=seed)
+        rng = np.random.default_rng(seed)
+        xs = [rng.normal(size=(rows, channels)) for rows in sizes]
+        for x in xs:
+            layer.forward(x, training=True)
+        for u, got in enumerate(layer.stats):
+            want, single = RunningStats(), Reservoir(seed=seed * 100003 + u)
+            for x in xs:
+                column = x.ravel() if granularity == "layer" else x[:, u]
+                want = update_stats(want, column)
+                single.extend(column)
+            assert (got.mean, got.std, got.update_count) \
+                == (want.mean, want.std, want.update_count)
+            np.testing.assert_array_equal(layer.reservoir.buffer[u], single.buffer)
+            assert layer.reservoir.seen == single.seen
+
+    def test_collects_four_d_input_per_channel(self):
+        rng = np.random.default_rng(5)
+        layer = PwluActivation(3, n_intervals=4, frozen=True, collecting=True, seed=2)
+        xs = [rng.normal(size=(4, 3, 5, 6)) for _ in range(2)]  # (B, C, H, W)
+        for x in xs:
+            assert layer.forward(x, training=True).shape == x.shape
+        for u, got in enumerate(layer.stats):
+            want = RunningStats()
+            for x in xs:
+                want = update_stats(want, x[:, u].ravel())
+            assert (got.mean, got.std, got.update_count) \
+                == (want.mean, want.std, want.update_count)
+            np.testing.assert_array_equal(layer.reservoir.values()[u],
+                                          np.concatenate([x[:, u].ravel() for x in xs]))
+
 
 class TestSchedule:
     def test_validation(self):
@@ -338,7 +379,7 @@ class TestTwoPhaseTraining:
             layer.forward(rng.normal(5.0, 1.0, size=(64, 2)), training=True)
         for u in range(2):
             pre = layer.units[u]
-            p05, p95 = layer.reservoirs[u].percentile_interval()
+            p05, p95 = (q[u] for q in layer.reservoir.percentile_interval())
             pre_iou = compute_iou((pre.left_boundary, pre.right_boundary), (p05, p95))
             post = realign_reset(pre, layer.stats[u])
             post_iou = compute_iou((post.left_boundary, post.right_boundary), (p05, p95))
@@ -493,6 +534,27 @@ class TestCheckpoint:
         save_checkpoint(path, trainer)
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(CheckpointError, match="trailing"):
+            load_model(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda meta: meta["stats"][1].update(count=meta["stats"][1]["count"] + 1),
+        lambda meta: meta["reservoir_seen"].__setitem__(1, meta["reservoir_seen"][1] + 1),
+        lambda meta: meta["reservoir_rng"].pop(),
+    ])
+    def test_units_must_share_counts(self, tmp_path, corrupt):
+        # a bank's units are updated together: per-unit counts that differ are corrupt
+        trainer = self.make_trainer()
+        for _ in range(5):
+            trainer.step()
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, trainer)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + hlen])
+        corrupt(next(meta for meta in header["layers"] if meta["type"] == "pwlu"))
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:])
+        with pytest.raises(CheckpointError, match="share their counts"):
             load_model(path)
 
     def test_fuzzed_checkpoints_never_crash_raw(self, tmp_path):

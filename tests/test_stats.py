@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pwlu.errors import EmptyBatchError, InsufficientSamplesError
 from pwlu.kernel import forward_reference, init_pwlu_relu
@@ -148,6 +148,21 @@ class TestPercentileInterval:
             percentile_interval(np.arange(10))
 
 
+def algorithm_r(capacity, seed, batches):
+    """Per-item algorithm R over one stream: what Reservoir.extend computes in one scatter."""
+    buffer, seen, rng = np.zeros(capacity), 0, np.random.default_rng(seed)
+    for batch in batches:
+        for value in batch:
+            if seen < capacity:
+                buffer[seen] = value
+            else:
+                slot = rng.integers(0, seen + 1)
+                if slot < capacity:
+                    buffer[slot] = value
+            seen += 1
+    return buffer, seen, rng
+
+
 class TestReservoir:
     def test_fills_then_bounds(self):
         r = Reservoir(capacity=100, seed=1)
@@ -164,6 +179,24 @@ class TestReservoir:
         b.extend(data[:500])
         b.extend(data[500:])
         np.testing.assert_array_equal(a.buffer, b.buffer)
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 5), st.integers(1, 12),
+           st.lists(st.integers(0, 40), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+    @example(3, 2, [1, 40, 7], 0)  # fills, then draws many slots twice in one call
+    def test_streams_match_per_item_algorithm_r(self, streams, capacity, sizes, seed):
+        seeds = [seed + s for s in range(streams)]
+        data = np.random.default_rng(seed).normal(size=(streams, sum(sizes)))
+        batches = np.split(data, np.cumsum(sizes)[:-1], axis=1)
+        res = Reservoir(capacity=capacity, seed=seeds)
+        for batch in batches:
+            res.extend(batch)
+        assert res.buffer.shape == (streams, capacity)
+        for s in range(streams):
+            buffer, seen, rng = algorithm_r(capacity, seeds[s], [b[s] for b in batches])
+            np.testing.assert_array_equal(res.buffer[s], buffer)
+            assert res.seen == seen
+            assert res.rngs[s].bit_generator.state == rng.bit_generator.state
 
     def test_roughly_uniform(self):
         r = Reservoir(capacity=2000, seed=7)
