@@ -11,8 +11,10 @@ The JSON header carries a version tag, the trainer scalars (iteration,
 epoch-loss accumulators, batch size, schedule fields, generator states,
 recorded metric rows) and a layer manifest.  Each manifest entry lists its
 arrays as (name, shape) pairs; the binary tail stores those arrays in
-manifest order, row-major.  Saving, loading, and saving again yields a
-byte-identical file.
+manifest order, row-major: a layer's `params`, whole, then their velocities
+`v_<param>`, and for a PWLU bank its running `mean` and `std` and its
+`reservoir` samples (zero-width once collection has ended).  Saving,
+loading, and saving again yields a byte-identical file.
 """
 
 from __future__ import annotations
@@ -25,57 +27,46 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
-from .kernel import PwluParams
 from .layers import Conv2d, Dense, Model, PwluActivation, Relu, Swish
 from .optim import TrainSchedule
 from .stats import RunningStats
 from .trainer import Trainer
 
 MAGIC = b"PWLUCKP1"
-VERSION = 1
+VERSION = 2
 
 
 def _layer_manifest(layer):
     if isinstance(layer, Dense):
         meta = {"type": "dense", "name": layer.name,
                 "in_dim": layer.weight.shape[0], "out_dim": layer.weight.shape[1]}
-        arrays = [("weight", layer.weight), ("bias", layer.bias),
-                  ("v_weight", layer.v_weight), ("v_bias", layer.v_bias)]
     elif isinstance(layer, Conv2d):
         meta = {"type": "conv", "name": layer.name,
                 "out_ch": layer.weight.shape[0], "in_ch": layer.weight.shape[1],
                 "ksize": layer.ksize, "padding": layer.padding}
-        arrays = [("weight", layer.weight), ("bias", layer.bias),
-                  ("v_weight", layer.v_weight), ("v_bias", layer.v_bias)]
     elif isinstance(layer, Relu):
-        meta, arrays = {"type": "relu", "name": layer.name}, []
+        meta = {"type": "relu", "name": layer.name}
     elif isinstance(layer, Swish):
-        meta, arrays = {"type": "swish", "name": layer.name}, []
+        meta = {"type": "swish", "name": layer.name}
     elif isinstance(layer, PwluActivation):
         meta = {
             "type": "pwlu", "name": layer.name, "granularity": layer.granularity,
             "n_channels": layer.n_channels,
             "n_intervals": layer.n_intervals,
             "frozen": layer.frozen, "collecting": layer.collecting,
-            "stats": [{"mean": s.mean, "std": s.std, "count": s.update_count}
-                      for s in layer.stats],
-            "reservoir_seen": [layer.reservoir.seen] * layer.n_units,
-            "reservoir_capacity": layer.reservoir.capacity,
+            "stats_count": layer.running_stats.update_count,
+            "reservoir_seen": layer.reservoir.seen,
             "reservoir_rng": [rng.bit_generator.state for rng in layer.reservoir.rngs],
         }
-        edges = np.stack([layer.b_l, layer.b_r, layer.k_l, layer.k_r], axis=1)
-        v_edges = np.stack([layer.v_b_l, layer.v_b_r, layer.v_k_l, layer.v_k_r], axis=1)
-        arrays = []
-        for u in range(layer.n_units):
-            arrays += [
-                (f"unit{u}_edges", edges[u]),
-                (f"unit{u}_y", layer.y[u]),
-                (f"unit{u}_v_edges", v_edges[u]),
-                (f"unit{u}_v_y", layer.v_y[u]),
-                (f"unit{u}_reservoir", layer.reservoir.buffer[u]),
-            ]
     else:
         raise TypeError(f"cannot checkpoint layer type {type(layer).__name__}")
+    names = [*layer.params, *(f"v_{p}" for p in layer.params)]
+    arrays = [(name, getattr(layer, name)) for name in names]
+    if isinstance(layer, PwluActivation):
+        # Samples are kept only while collecting, as a bank built to load them expects.
+        samples = layer.reservoir.buffer if layer.collecting else layer.reservoir.buffer[:, :0]
+        arrays += [("mean", layer.running_stats.mean), ("std", layer.running_stats.std),
+                   ("reservoir", samples)]
     meta["arrays"] = [[name, list(arr.shape)] for name, arr in arrays]
     return meta, arrays
 
@@ -103,27 +94,18 @@ def _rebuild_layer(meta, arrays):
     if meta["arrays"] != _layer_manifest(layer)[0]["arrays"]:
         raise CheckpointError(f"layer {meta['name']!r}: stored arrays do not fit a {kind} layer")
 
-    if kind in ("dense", "conv"):
-        layer.weight, layer.bias, layer.v_weight, layer.v_bias = arrays
-    elif kind == "pwlu":
-        per_unit = 5
-        for u in range(layer.n_units):
-            edge, y, v_edge, v_y, _ = arrays[u * per_unit:(u + 1) * per_unit]
-            layer.set_unit(u, PwluParams(
-                n_intervals=layer.n_intervals, left_boundary=edge[0], right_boundary=edge[1],
-                y_points=y, left_slope=edge[2], right_slope=edge[3],
-            ))
-            layer.v_b_l[u], layer.v_b_r[u], layer.v_k_l[u], layer.v_k_r[u] = v_edge
-            layer.v_y[u] = v_y
-        stats, seen, states = meta["stats"], meta["reservoir_seen"], meta["reservoir_rng"]
-        if ({len(stats), len(seen), len(states)} != {layer.n_units}
-                or len({s["count"] for s in stats}) > 1 or len(set(seen)) > 1):
-            raise CheckpointError(f"layer {meta['name']!r}: units must share their counts")
-        mean, std = np.array([[s["mean"], s["std"]] for s in stats], dtype=float).T
-        layer.running_stats = RunningStats(mean, std, stats[0]["count"])
-        layer.reservoir.buffer = np.stack(arrays[per_unit - 1::per_unit])
-        layer.reservoir.seen = seen[0]
-        for rng, state in zip(layer.reservoir.rngs, states):
+    named = {name: arr for (name, _), arr in zip(meta["arrays"], arrays)}
+    for p in layer.params:
+        setattr(layer, p, named[p])
+        setattr(layer, f"v_{p}", named[f"v_{p}"])
+    if kind == "pwlu":
+        layer.check_params()
+        if len(meta["reservoir_rng"]) != layer.n_units:
+            raise CheckpointError(f"layer {meta['name']!r}: reservoir_rng needs one state per unit")
+        layer.running_stats = RunningStats(named["mean"], named["std"], meta["stats_count"])
+        layer.reservoir.buffer = named["reservoir"]
+        layer.reservoir.seen = meta["reservoir_seen"]
+        for rng, state in zip(layer.reservoir.rngs, meta["reservoir_rng"]):
             rng.bit_generator.state = state
     return layer
 

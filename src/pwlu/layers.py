@@ -12,11 +12,14 @@ import numpy as np
 from .errors import DegenerateParameterError, ShapeMismatchError
 from .kernel import MIN_BOUNDARY_WIDTH, PwluParams, init_pwlu_relu
 from .optim import sgd_momentum_step
-from .stats import Reservoir, RunningStats, update_stats
+from .stats import RESERVOIR_CAPACITY, Reservoir, RunningStats, update_stats
 
 
 class Layer:
     name = "layer"
+    # Trained arrays, each with a gradient g_<name> and a velocity v_<name>;
+    # the optimizer step and the checkpoint both read this list.
+    params: tuple[str, ...] = ()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -26,10 +29,15 @@ class Layer:
 
     def step(self, lr: float, momentum: float, weight_decay: float) -> None:
         """Apply one SGD-with-momentum update to this layer's parameters."""
+        for p in self.params:
+            sgd_momentum_step(getattr(self, p), getattr(self, f"g_{p}"), getattr(self, f"v_{p}"),
+                              lr, momentum, weight_decay)
 
 
 class Dense(Layer):
     """Fully connected layer: y = x @ W + b."""
+
+    params = ("weight", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "dense"):
         self.name = name
@@ -54,13 +62,11 @@ class Dense(Layer):
         self.g_bias = grad_out.sum(axis=0)
         return grad_out @ self.weight.T
 
-    def step(self, lr, momentum, weight_decay):
-        sgd_momentum_step(self.weight, self.g_weight, self.v_weight, lr, momentum, weight_decay)
-        sgd_momentum_step(self.bias, self.g_bias, self.v_bias, lr, momentum, weight_decay)
-
 
 class Conv2d(Layer):
     """2-D convolution (stride 1, symmetric zero padding) via im2col."""
+
+    params = ("weight", "bias")
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int, rng: np.random.Generator,
                  padding: int = 0, name: str = "conv"):
@@ -121,10 +127,6 @@ class Conv2d(Layer):
             gx = gx[:, :, p:-p, p:-p]
         return gx
 
-    def step(self, lr, momentum, weight_decay):
-        sgd_momentum_step(self.weight, self.g_weight, self.v_weight, lr, momentum, weight_decay)
-        sgd_momentum_step(self.bias, self.g_bias, self.v_bias, lr, momentum, weight_decay)
-
 
 class Relu(Layer):
     def __init__(self, name: str = "relu"):
@@ -164,7 +166,8 @@ class PwluActivation(Layer):
     "layer" shares a single unit across the whole tensor.  While `frozen`,
     the optimizer step leaves the unit parameters untouched (gradients still
     flow to earlier layers).  While `collecting`, each training forward
-    updates the running mean/std and the reservoir sample of every unit.
+    updates the running mean/std and the reservoir sample of every unit;
+    `stop_collecting` ends that and frees the samples.
 
     The parameters of all units are stored once, as arrays over units:
     b_l, b_r, k_l, k_r of shape (U,) and y of shape (U, N+1), with
@@ -173,6 +176,8 @@ class PwluActivation(Layer):
     So are `running_stats`, with (U,) mean and std, and the U streams of
     `reservoir`; `stats` is a read-only snapshot of them as RunningStats.
     """
+
+    params = ("b_l", "b_r", "y", "k_l", "k_r")
 
     def __init__(self, n_channels: int, n_intervals: int = 16, granularity: str = "channel",
                  half_width: float = 3.0, frozen: bool = False, collecting: bool = False,
@@ -190,13 +195,13 @@ class PwluActivation(Layer):
         self.y = np.tile(init.y_points, (self.n_units, 1))
         self.k_l = np.full(self.n_units, init.left_slope)
         self.k_r = np.full(self.n_units, init.right_slope)
-        self.v_b_l, self.v_b_r, self.v_y, self.v_k_l, self.v_k_r = (
-            np.zeros_like(a) for a in (self.b_l, self.b_r, self.y, self.k_l, self.k_r)
-        )
-        # None until the first backward pass; step() does nothing before it.
-        self.g_b_l = self.g_b_r = self.g_y = self.g_k_l = self.g_k_r = None
+        for p in self.params:
+            setattr(self, f"v_{p}", np.zeros_like(getattr(self, p)))
+            # None until the first backward pass; step() does nothing before it.
+            setattr(self, f"g_{p}", None)
         self.running_stats = RunningStats(np.zeros(self.n_units), np.ones(self.n_units))
-        self.reservoir = Reservoir(seed=[seed * 100003 + u for u in range(self.n_units)])
+        self.reservoir = Reservoir(RESERVOIR_CAPACITY if collecting else 0,
+                                   seed=[seed * 100003 + u for u in range(self.n_units)])
         self.frozen = frozen
         self.collecting = collecting
         self._x = None
@@ -221,6 +226,22 @@ class PwluActivation(Layer):
         self.y[u] = params.y_points
         self.k_l[u] = params.left_slope
         self.k_r[u] = params.right_slope
+
+    def stop_collecting(self) -> None:
+        """End collection and free the reservoir samples; the generators keep their state."""
+        self.collecting = False
+        # A fresh array: a zero-width view would keep the samples alive.
+        self.reservoir.buffer = np.zeros((self.n_units, 0))
+
+    def check_params(self) -> None:
+        """Raise DegenerateParameterError for a non-finite parameter or a collapsed interval."""
+        width = self.b_r - self.b_l
+        # A finite width implies finite boundaries.
+        finite = all(np.isfinite(a).all() for a in (width, self.y, self.k_l, self.k_r))
+        if not finite or (width < MIN_BOUNDARY_WIDTH).any():
+            raise DegenerateParameterError(
+                f"{self.name}: non-finite parameters or a collapsed boundary interval"
+            )
 
     def _to_columns(self, x):
         """Flatten to (elements, units): channel axis last, all else merged."""
@@ -319,9 +340,7 @@ class PwluActivation(Layer):
         # would bias every learned shape toward the zero function.
         if self.frozen or self.g_y is None:
             return
-        for f in ("b_l", "b_r", "y", "k_l", "k_r"):
-            sgd_momentum_step(getattr(self, f), getattr(self, f"g_{f}"), getattr(self, f"v_{f}"),
-                              lr, momentum, 0.0)
+        super().step(lr, momentum, 0.0)
         # Keep the interval from collapsing under a large boundary step;
         # the floor is relative so it survives large magnitudes.
         min_width = np.maximum(1e-6, 1e-9 * (np.abs(self.b_l) + np.abs(self.b_r)))
@@ -330,13 +349,7 @@ class PwluActivation(Layer):
             center = 0.5 * (self.b_l[narrow] + self.b_r[narrow])
             self.b_l[narrow] = center - 0.5 * min_width[narrow]
             self.b_r[narrow] = center + 0.5 * min_width[narrow]
-        width = self.b_r - self.b_l
-        # A finite width implies finite boundaries.
-        finite = all(np.isfinite(a).all() for a in (width, self.y, self.k_l, self.k_r))
-        if not finite or (width < MIN_BOUNDARY_WIDTH).any():
-            raise DegenerateParameterError(
-                f"{self.name}: a step left non-finite parameters or a collapsed interval"
-            )
+        self.check_params()
 
 
 def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray):

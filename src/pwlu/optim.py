@@ -51,4 +51,4 @@ class TrainSchedule:
         if t < warm:
             return self.base_lr * (t + 1) / warm
         span = max(1, self.total_iterations - warm)
-        return 0.5 * self.base_lr * (1.0 + np.cos(np.pi * (t - warm) / span))
+        return float(0.5 * self.base_lr * (1.0 + np.cos(np.pi * (t - warm) / span)))

@@ -110,11 +110,14 @@ class Reservoir:
     """Fixed-capacity uniform samples (algorithm R) of one stream, or of one per seed in a list."""
 
     def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int | list[int] = 0):
-        self.capacity = capacity
         # zero-filled so a partially filled buffer serializes deterministically
         self.buffer = np.zeros(np.shape(seed) + (capacity,), dtype=np.float64)
         self.seen = 0
         self.rngs = [np.random.default_rng(s) for s in np.ravel(seed).tolist()]
+
+    @property
+    def capacity(self) -> int:
+        return self.buffer.shape[-1]
 
     def extend(self, values) -> None:
         vals = np.asarray(values, dtype=np.float64).reshape(self.buffer.shape[:-1] + (-1,))

@@ -43,23 +43,22 @@ class Trainer:
         self.pre_reports: list[AlignmentReport] = []
         self.post_reports: list[AlignmentReport] = []
 
-    def _alignment_reports(self) -> list[AlignmentReport]:
-        reports = []
-        for layer in self.model.pwlu_layers():
-            intervals = zip(layer.units, *layer.reservoir.percentile_interval())
-            for u, (params, p05, p95) in enumerate(intervals):
-                reports.append(AlignmentReport.from_unit(layer.name, u, params, p05, p95))
-        return reports
+    @staticmethod
+    def _alignment_reports(layer) -> list[AlignmentReport]:
+        intervals = zip(layer.units, *layer.reservoir.percentile_interval())
+        return [AlignmentReport.from_unit(layer.name, u, params, p05, p95)
+                for u, (params, p05, p95) in enumerate(intervals)]
 
     def realign_now(self) -> None:
-        """Reset every PWLU unit from its running statistics and unfreeze."""
-        self.pre_reports = self._alignment_reports()
+        """Reset every PWLU unit from its running statistics, unfreeze, and end collection."""
+        self.pre_reports, self.post_reports = [], []
         for layer in self.model.pwlu_layers():
+            self.pre_reports += self._alignment_reports(layer)
             for u, (params, stats) in enumerate(zip(layer.units, layer.stats)):
                 layer.set_unit(u, realign_reset(params, stats))
             layer.frozen = False
-            layer.collecting = False
-        self.post_reports = self._alignment_reports()
+            self.post_reports += self._alignment_reports(layer)
+            layer.stop_collecting()
 
     def step(self) -> float:
         if self.schedule.realign_iteration > 0 and self.t == self.schedule.realign_iteration:

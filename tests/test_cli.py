@@ -68,8 +68,11 @@ class TestTrain:
         for name in ("config.txt", "metrics.csv", "checkpoint.bin",
                       "alignment_pre.csv", "alignment_post.csv"):
             assert (out / name).exists(), name
-        header = (out / "metrics.csv").read_text().splitlines()[0]
+        header, *rows = (out / "metrics.csv").read_text().splitlines()
         assert header == "epoch,iteration,train_loss,lr,test_accuracy"
+        for row in rows:
+            for cell in row.split(","):
+                float(cell)  # a cell like np.float64(0.1) raises ValueError
 
     def test_same_seed_byte_identical(self, tmp_path):
         _, a = run_train(tmp_path, "a", ["--seed", "3"])
@@ -163,6 +166,7 @@ class TestExport:
         lambda raw: raw[:-9],                       # truncated tail
         lambda raw: raw + b"\0" * 8,                # trailing bytes
         lambda raw: raw[:20] + b"\xff" + raw[21:],  # header is not UTF-8 JSON
+        lambda raw: raw.replace(b'"version": 2', b'"version": 1'),  # v1 is not read
     ])
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, capsys, corrupt):
         _, run = run_train(tmp_path)

@@ -495,10 +495,18 @@ class TestCheckpoint:
         return Trainer(model, sched, train.features, train.labels, batch_size=16,
                        test_features=test.features, test_labels=test.labels)
 
-    def test_save_load_save_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("pause_at", [10, 20])  # before and after realignment at 15
+    def test_save_load_save_roundtrip(self, tmp_path, pause_at):
         trainer = self.make_trainer()
-        for _ in range(10):
+        for _ in range(pause_at):
             trainer.step()
+        if pause_at > 15:
+            # the reservoir samples are freed once the reports are made
+            for layer in trainer.model.pwlu_layers():
+                assert not layer.collecting
+                assert layer.reservoir.buffer.shape == (layer.n_units, 0)
+            assert len(trainer.post_reports) == sum(
+                layer.n_units for layer in trainer.model.pwlu_layers())
         p1 = tmp_path / "a.bin"
         p2 = tmp_path / "b.bin"
         save_checkpoint(p1, trainer)
@@ -537,12 +545,10 @@ class TestCheckpoint:
             load_model(path)
 
     @pytest.mark.parametrize("corrupt", [
-        lambda meta: meta["stats"][1].update(count=meta["stats"][1]["count"] + 1),
-        lambda meta: meta["reservoir_seen"].__setitem__(1, meta["reservoir_seen"][1] + 1),
         lambda meta: meta["reservoir_rng"].pop(),
     ])
     def test_units_must_share_counts(self, tmp_path, corrupt):
-        # a bank's units are updated together: per-unit counts that differ are corrupt
+        # a bank stores one count and one `seen`, but one generator state per unit
         trainer = self.make_trainer()
         for _ in range(5):
             trainer.step()
@@ -554,7 +560,30 @@ class TestCheckpoint:
         corrupt(next(meta for meta in header["layers"] if meta["type"] == "pwlu"))
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:])
-        with pytest.raises(CheckpointError, match="share their counts"):
+        with pytest.raises(CheckpointError, match="one state per unit"):
+            load_model(path)
+
+    def test_samples_saved_only_while_collecting(self, tmp_path):
+        trainer = self.make_trainer()
+        for _ in range(5):
+            trainer.step()
+        layer = trainer.model.pwlu_layers()[0]
+        layer.collecting = False  # set directly: the samples stay in memory
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, trainer)
+        assert load_model(path).pwlu_layers()[0].reservoir.buffer.shape == (layer.n_units, 0)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda layer: layer.b_r.__setitem__(0, layer.b_l[0]),
+        lambda layer: layer.y.__setitem__((0, 1), np.nan),
+    ], ids=["collapsed_interval", "nan_height"])
+    def test_bad_bank_parameters_rejected(self, tmp_path, corrupt):
+        # the array tail is outside input too: the loader checks what it sets
+        trainer = self.make_trainer()
+        corrupt(trainer.model.pwlu_layers()[0])
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, trainer)
+        with pytest.raises(DegenerateParameterError):
             load_model(path)
 
     def test_fuzzed_checkpoints_never_crash_raw(self, tmp_path):
