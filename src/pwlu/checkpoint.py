@@ -33,7 +33,23 @@ from .stats import RunningStats
 from .trainer import Trainer
 
 MAGIC = b"PWLUCKP1"
-VERSION = 2
+VERSION = 3
+
+# What each typed header scalar must hold; `type(v) is int` leaves out bool.
+_SCALARS = {
+    "count": ("a non-negative int", lambda v: type(v) is int and v >= 0),
+    "size": ("a positive int", lambda v: type(v) is int and v > 0),
+    "flag": ("a bool", lambda v: type(v) is bool),
+    "number": ("a number", lambda v: type(v) in (int, float)),
+}
+
+
+def _scalar(record, key, kind):
+    """record[key], or a CheckpointError naming the field if it is not of `kind`."""
+    what, ok = _SCALARS[kind]
+    if not ok(record[key]):
+        raise CheckpointError(f"checkpoint field {key!r} must be {what}, got {record[key]!r}")
+    return record[key]
 
 
 def _layer_manifest(layer):
@@ -56,7 +72,7 @@ def _layer_manifest(layer):
             "frozen": layer.frozen, "collecting": layer.collecting,
             "stats_count": layer.running_stats.update_count,
             "reservoir_seen": layer.reservoir.seen,
-            "reservoir_rng": [rng.bit_generator.state for rng in layer.reservoir.rngs],
+            "reservoir_rng": layer.reservoir.rng.bit_generator.state,
         }
     else:
         raise TypeError(f"cannot checkpoint layer type {type(layer).__name__}")
@@ -85,9 +101,10 @@ def _rebuild_layer(meta, arrays):
         layer = Swish(name=meta["name"])
     elif kind == "pwlu":
         layer = PwluActivation(
-            n_channels=meta["n_channels"], n_intervals=meta["n_intervals"],
-            granularity=meta["granularity"], frozen=meta["frozen"],
-            collecting=meta["collecting"], name=meta["name"],
+            n_channels=_scalar(meta, "n_channels", "size"),
+            n_intervals=_scalar(meta, "n_intervals", "size"),
+            granularity=meta["granularity"], frozen=_scalar(meta, "frozen", "flag"),
+            collecting=_scalar(meta, "collecting", "flag"), name=meta["name"],
         )
     else:
         raise CheckpointError(f"unknown layer type {kind!r} in checkpoint")
@@ -100,13 +117,11 @@ def _rebuild_layer(meta, arrays):
         setattr(layer, f"v_{p}", named[f"v_{p}"])
     if kind == "pwlu":
         layer.check_params()
-        if len(meta["reservoir_rng"]) != layer.n_units:
-            raise CheckpointError(f"layer {meta['name']!r}: reservoir_rng needs one state per unit")
-        layer.running_stats = RunningStats(named["mean"], named["std"], meta["stats_count"])
+        layer.running_stats = RunningStats(named["mean"], named["std"],
+                                           _scalar(meta, "stats_count", "count"))
         layer.reservoir.buffer = named["reservoir"]
-        layer.reservoir.seen = meta["reservoir_seen"]
-        for rng, state in zip(layer.reservoir.rngs, meta["reservoir_rng"]):
-            rng.bit_generator.state = state
+        layer.reservoir.seen = _scalar(meta, "reservoir_seen", "count")
+        layer.reservoir.rng.bit_generator.state = meta["reservoir_rng"]
     return layer
 
 
@@ -201,11 +216,11 @@ def load_checkpoint(path, train_features, train_labels,
     with _faults_as_checkpoint_error(path):
         sched = TrainSchedule(**header["schedule"])
         trainer = Trainer(Model(layers), sched, train_features, train_labels,
-                          batch_size=header["batch_size"],
+                          batch_size=_scalar(header, "batch_size", "size"),
                           test_features=test_features, test_labels=test_labels)
-        trainer.t = header["t"]
-        trainer.epoch_loss_sum = header["epoch_loss_sum"]
-        trainer.epoch_loss_count = header["epoch_loss_count"]
+        trainer.t = _scalar(header, "t", "count")
+        trainer.epoch_loss_sum = _scalar(header, "epoch_loss_sum", "number")
+        trainer.epoch_loss_count = _scalar(header, "epoch_loss_count", "count")
         trainer.metrics = header["metrics"]
         trainer.rng.bit_generator.state = header["rng_state"]
     return trainer

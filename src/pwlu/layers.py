@@ -174,7 +174,8 @@ class PwluActivation(Layer):
     velocities v_* and gradients g_* of the same shapes.  `units` is a
     read-only snapshot of them as PwluParams; `set_unit` writes one unit.
     So are `running_stats`, with (U,) mean and std, and the U streams of
-    `reservoir`; `stats` is a read-only snapshot of them as RunningStats.
+    `reservoir`, which share one generator; `stats` is a read-only snapshot
+    of them as RunningStats.
     """
 
     params = ("b_l", "b_r", "y", "k_l", "k_r")
@@ -201,7 +202,7 @@ class PwluActivation(Layer):
             setattr(self, f"g_{p}", None)
         self.running_stats = RunningStats(np.zeros(self.n_units), np.ones(self.n_units))
         self.reservoir = Reservoir(RESERVOIR_CAPACITY if collecting else 0,
-                                   seed=[seed * 100003 + u for u in range(self.n_units)])
+                                   seed=seed * 100003, streams=self.n_units)
         self.frozen = frozen
         self.collecting = collecting
         self._x = None
@@ -228,7 +229,7 @@ class PwluActivation(Layer):
         self.k_r[u] = params.right_slope
 
     def stop_collecting(self) -> None:
-        """End collection and free the reservoir samples; the generators keep their state."""
+        """End collection and free the reservoir samples; the generator keeps its state."""
         self.collecting = False
         # A fresh array: a zero-width view would keep the samples alive.
         self.reservoir.buffer = np.zeros((self.n_units, 0))

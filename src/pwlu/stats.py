@@ -107,13 +107,14 @@ def percentile_interval(samples, lo: float = 0.05, hi: float = 0.95, min_samples
 
 
 class Reservoir:
-    """Fixed-capacity uniform samples (algorithm R) of one stream, or of one per seed in a list."""
+    """Uniform fixed-capacity samples (algorithm R) of one stream, or of `streams` from one rng."""
 
-    def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int | list[int] = 0):
+    def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int = 0,
+                 streams: int | None = None):
         # zero-filled so a partially filled buffer serializes deterministically
-        self.buffer = np.zeros(np.shape(seed) + (capacity,), dtype=np.float64)
+        self.buffer = np.zeros((capacity,) if streams is None else (streams, capacity))
         self.seen = 0
-        self.rngs = [np.random.default_rng(s) for s in np.ravel(seed).tolist()]
+        self.rng = np.random.default_rng(seed)
 
     @property
     def capacity(self) -> int:
@@ -127,14 +128,14 @@ class Reservoir:
             self.buffer[..., self.seen:self.seen + take] = vals[..., :take]
             self.seen += take
             start = take
-        rest = vals[..., start:].reshape(len(self.rngs), -1)
+        rest = np.atleast_2d(vals[..., start:])
         if rest.size:
-            # Item number t replaces slot j ~ uniform[0, t) when j < capacity;
-            # drawing all j at once matches the per-item loop bit for bit.
+            # Item number t replaces slot j ~ uniform[0, t) when j < capacity; one
+            # call draws stream after stream, as per-item loops over the streams do.
             counts = self.seen + 1 + np.arange(rest.shape[1])
-            slots = np.stack([rng.integers(0, counts) for rng in self.rngs])
+            slots = self.rng.integers(0, counts, size=rest.shape)
             kept = slots < self.capacity
-            flat = (np.arange(len(self.rngs))[:, None] * self.capacity + slots)[kept]
+            flat = (np.arange(rest.shape[0])[:, None] * self.capacity + slots)[kept]
             # When a slot is drawn twice the later item wins, as in the loop.
             last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]
             self.buffer.put(flat[last], rest[kept][last])

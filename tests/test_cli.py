@@ -166,7 +166,8 @@ class TestExport:
         lambda raw: raw[:-9],                       # truncated tail
         lambda raw: raw + b"\0" * 8,                # trailing bytes
         lambda raw: raw[:20] + b"\xff" + raw[21:],  # header is not UTF-8 JSON
-        lambda raw: raw.replace(b'"version": 2', b'"version": 1'),  # v1 is not read
+        lambda raw: raw.replace(b'"version": 3', b'"version": 1'),  # v1 is not read
+        lambda raw: raw.replace(b'"version": 3', b'"version": 2'),  # nor is v2
     ])
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, capsys, corrupt):
         _, run = run_train(tmp_path)

@@ -281,18 +281,20 @@ class TestPwluBank:
                                frozen=True, collecting=True, seed=seed)
         rng = np.random.default_rng(seed)
         xs = [rng.normal(size=(rows, channels)) for rows in sizes]
+        samples = Reservoir(seed=seed * 100003, streams=layer.n_units)
         for x in xs:
             layer.forward(x, training=True)
+            samples.extend(x.reshape(1, -1) if granularity == "layer" else x.T)
         for u, got in enumerate(layer.stats):
-            want, single = RunningStats(), Reservoir(seed=seed * 100003 + u)
+            want = RunningStats()
             for x in xs:
                 column = x.ravel() if granularity == "layer" else x[:, u]
                 want = update_stats(want, column)
-                single.extend(column)
             assert (got.mean, got.std, got.update_count) \
                 == (want.mean, want.std, want.update_count)
-            np.testing.assert_array_equal(layer.reservoir.buffer[u], single.buffer)
-            assert layer.reservoir.seen == single.seen
+        # the bank feeds one row per unit; test_stats checks the sampling itself
+        np.testing.assert_array_equal(layer.reservoir.buffer, samples.buffer)
+        assert layer.reservoir.seen == samples.seen
 
     def test_collects_four_d_input_per_channel(self):
         rng = np.random.default_rng(5)
@@ -544,11 +546,24 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trailing"):
             load_model(path)
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda meta: meta["reservoir_rng"].pop(),
+    @pytest.mark.parametrize("where,field,value", [
+        ("bank", "reservoir_seen", "3"),
+        ("bank", "reservoir_seen", -5),
+        ("bank", "reservoir_seen", 3.5),
+        ("bank", "stats_count", "3"),
+        ("bank", "stats_count", True),
+        ("bank", "frozen", "no"),
+        ("bank", "collecting", 1),
+        ("bank", "n_intervals", 4.0),
+        ("trainer", "t", "3"),
+        ("trainer", "t", -3),
+        ("trainer", "epoch_loss_count", "3"),
+        ("trainer", "epoch_loss_sum", "0.5"),
+        ("trainer", "batch_size", 0),
+        ("bank", "reservoir_rng", "v2_list"),  # one state per unit, as v2 stored
     ])
-    def test_units_must_share_counts(self, tmp_path, corrupt):
-        # a bank stores one count and one `seen`, but one generator state per unit
+    def test_header_fields_checked(self, tmp_path, where, field, value):
+        # a corrupt header scalar fails on load, naming the field, not at a later step
         trainer = self.make_trainer()
         for _ in range(5):
             trainer.step()
@@ -557,11 +572,21 @@ class TestCheckpoint:
         raw = path.read_bytes()
         (hlen,) = struct.unpack("<I", raw[8:12])
         header = json.loads(raw[12:12 + hlen])
-        corrupt(next(meta for meta in header["layers"] if meta["type"] == "pwlu"))
+        record = header
+        if where == "bank":
+            record = next(meta for meta in header["layers"] if meta["type"] == "pwlu")
+        if value == "v2_list":
+            value = [record[field]] * record["n_channels"]
+        record[field] = value
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
         path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:])
-        with pytest.raises(CheckpointError, match="one state per unit"):
-            load_model(path)
+        # the generator's state setter rejects a list; the loader reports it as corrupt
+        match = "corrupt" if field == "reservoir_rng" else field
+        with pytest.raises(CheckpointError, match=match):
+            if where == "bank":
+                load_model(path)
+            else:
+                load_checkpoint(path, trainer.train_features, trainer.train_labels)
 
     def test_samples_saved_only_while_collecting(self, tmp_path):
         trainer = self.make_trainer()

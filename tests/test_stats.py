@@ -149,17 +149,23 @@ class TestPercentileInterval:
 
 
 def algorithm_r(capacity, seed, batches):
-    """Per-item algorithm R over one stream: what Reservoir.extend computes in one scatter."""
-    buffer, seen, rng = np.zeros(capacity), 0, np.random.default_rng(seed)
+    """Per-item algorithm R over S streams that share one generator.
+
+    Each (S, n) batch is drawn stream after stream: what Reservoir.extend
+    computes with one draw and one scatter.
+    """
+    buffer, rng = np.zeros((len(batches[0]), capacity)), np.random.default_rng(seed)
+    seen = 0
     for batch in batches:
-        for value in batch:
-            if seen < capacity:
-                buffer[seen] = value
-            else:
-                slot = rng.integers(0, seen + 1)
-                if slot < capacity:
-                    buffer[slot] = value
-            seen += 1
+        for s, row in enumerate(batch):
+            for i, value in enumerate(row):
+                if seen + i < capacity:
+                    buffer[s, seen + i] = value
+                else:
+                    slot = rng.integers(0, seen + i + 1)
+                    if slot < capacity:
+                        buffer[s, slot] = value
+        seen += batch.shape[1]
     return buffer, seen, rng
 
 
@@ -185,18 +191,20 @@ class TestReservoir:
            st.lists(st.integers(0, 40), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
     @example(3, 2, [1, 40, 7], 0)  # fills, then draws many slots twice in one call
     def test_streams_match_per_item_algorithm_r(self, streams, capacity, sizes, seed):
-        seeds = [seed + s for s in range(streams)]
         data = np.random.default_rng(seed).normal(size=(streams, sum(sizes)))
         batches = np.split(data, np.cumsum(sizes)[:-1], axis=1)
-        res = Reservoir(capacity=capacity, seed=seeds)
+        res = Reservoir(capacity=capacity, seed=seed, streams=streams)
         for batch in batches:
             res.extend(batch)
-        assert res.buffer.shape == (streams, capacity)
-        for s in range(streams):
-            buffer, seen, rng = algorithm_r(capacity, seeds[s], [b[s] for b in batches])
-            np.testing.assert_array_equal(res.buffer[s], buffer)
-            assert res.seen == seen
-            assert res.rngs[s].bit_generator.state == rng.bit_generator.state
+        buffer, seen, rng = algorithm_r(capacity, seed, batches)
+        np.testing.assert_array_equal(res.buffer, buffer)
+        assert res.seen == seen
+        assert res.rng.bit_generator.state == rng.bit_generator.state
+        if streams == 1:  # a one-unit bank draws what a one-stream reservoir draws
+            single = Reservoir(capacity=capacity, seed=seed)
+            for batch in batches:
+                single.extend(batch[0])
+            np.testing.assert_array_equal(single.buffer, buffer[0])
 
     def test_roughly_uniform(self):
         r = Reservoir(capacity=2000, seed=7)
