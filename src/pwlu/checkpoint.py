@@ -35,12 +35,13 @@ from .trainer import Trainer
 MAGIC = b"PWLUCKP1"
 VERSION = 3
 
-# What each typed header scalar must hold; `type(v) is int` leaves out bool.
+# What each typed header field must hold; `type(v) is int` leaves out bool.
 _SCALARS = {
     "count": ("a non-negative int", lambda v: type(v) is int and v >= 0),
     "size": ("a positive int", lambda v: type(v) is int and v > 0),
     "flag": ("a bool", lambda v: type(v) is bool),
     "number": ("a number", lambda v: type(v) in (int, float)),
+    "rows": ("a list of objects", lambda v: type(v) is list and all(type(r) is dict for r in v)),
 }
 
 
@@ -214,6 +215,8 @@ def load_checkpoint(path, train_features, train_labels,
     """Rebuild a trainer mid-run.  Datasets are supplied by the caller."""
     header, layers = _read_checkpoint(path)
     with _faults_as_checkpoint_error(path):
+        for key in ("base_lr", "momentum", "weight_decay", "warmup_frac"):
+            _scalar(header["schedule"], key, "number")
         sched = TrainSchedule(**header["schedule"])
         trainer = Trainer(Model(layers), sched, train_features, train_labels,
                           batch_size=_scalar(header, "batch_size", "size"),
@@ -221,6 +224,6 @@ def load_checkpoint(path, train_features, train_labels,
         trainer.t = _scalar(header, "t", "count")
         trainer.epoch_loss_sum = _scalar(header, "epoch_loss_sum", "number")
         trainer.epoch_loss_count = _scalar(header, "epoch_loss_count", "count")
-        trainer.metrics = header["metrics"]
+        trainer.metrics = _scalar(header, "metrics", "rows")
         trainer.rng.bit_generator.state = header["rng_state"]
     return trainer

@@ -2,8 +2,9 @@
 
 The unit is a scalar function made of N uniform linear segments over
 [left_boundary, right_boundary] with learnable segment heights, plus two
-learnable slopes outside the boundaries.  All kernels here operate on one
-unit; banks of units live in :mod:`pwlu.layers`.
+learnable slopes outside the boundaries.  The reference forward and backward
+here are one-unit oracles; the bank forward and backward in :mod:`pwlu.layers`
+and `build_fused` all read one `segment_table`.
 """
 
 from __future__ import annotations
@@ -195,37 +196,39 @@ def backward(x, upstream, params: PwluParams) -> PwluGrads:
     )
 
 
+def segment_table(b_l, b_r, y, k_l, k_r):
+    """Left edge, slope and height of every extended segment of one unit or a bank.
+
+    b_l, b_r, k_l and k_r are scalars or (U,) arrays and y has shape
+    (..., N+1); each result has shape (..., N+2).  Segment 0 lies left of the
+    boundary interval, 1..N are the interior segments and N+1 lies right of
+    it, so x in segment j evaluates to (x - edge_j) * slope_j + height_j.
+    """
+    n = y.shape[-1] - 1
+    b_l, b_r, k_l, k_r = (np.asarray(v)[..., None] for v in (b_l, b_r, k_l, k_r))
+    d = (b_r - b_l) / n
+    edges = np.concatenate((b_l, b_l + np.arange(n) * d, b_r), axis=-1)
+    slopes = np.concatenate((k_l, np.diff(y) / d, k_r), axis=-1)
+    heights = np.concatenate((y[..., :1], y[..., :-1], y[..., n:]), axis=-1)
+    return edges, slopes, heights
+
+
 def build_fused(params: PwluParams, dtype=np.float64) -> FusedPwluTable:
     """Precompute the slope/offset table for constant-time inference.
 
-    Entry j (interior) stores S_j = (Y_{j+1} - Y_j)/d and O_j = Y_j - B_j*S_j;
-    the two outer entries store the boundary slopes with matching offsets so
-    that x*S + O reproduces all three branches of the reference forward.
+    Entry j of the segment table stores its slope S_j and the offset
+    O_j = height_j - edge_j*S_j, so that x*S + O reproduces all three
+    branches of the reference forward.
     """
     params.validate()
-    d = params.interval_len
-    if not np.isfinite(d) or d <= 0:
-        raise DegenerateParameterError(f"interval length {d} is not positive and finite")
-
-    y = params.y_points
-    grid = params.grid()
-    k_mid = np.diff(y) / d
-    o_mid = y[:-1] - grid[:-1] * k_mid
-
-    slopes = np.concatenate(([params.left_slope], k_mid, [params.right_slope]))
-    offsets = np.concatenate(
-        (
-            [y[0] - params.left_boundary * params.left_slope],
-            o_mid,
-            [y[-1] - params.right_boundary * params.right_slope],
-        )
-    )
+    edges, slopes, heights = segment_table(params.left_boundary, params.right_boundary,
+                                           params.y_points, params.left_slope, params.right_slope)
     return FusedPwluTable(
         n_intervals=params.n_intervals,
         left_boundary=dtype(params.left_boundary),
-        inv_interval_len=dtype(1.0 / d),
+        inv_interval_len=dtype(1.0 / params.interval_len),
         slopes=slopes.astype(dtype),
-        offsets=offsets.astype(dtype),
+        offsets=(heights - edges * slopes).astype(dtype),
     )
 
 
@@ -242,11 +245,11 @@ def forward_fused(x, table: FusedPwluTable) -> np.ndarray:
     return x * table.slopes[idx] + table.offsets[idx]
 
 
-def init_pwlu_relu(n_intervals: int, half_width: float) -> PwluParams:
-    """ReLU-shaped initialization on the symmetric interval [-half_width, half_width].
+def init_pwlu_relu(n_intervals: int, half_width: float, center: float = 0.0) -> PwluParams:
+    """ReLU-shaped initialization on the interval [center - half_width, center + half_width].
 
-    Requires an even segment count so that 0 falls exactly on a grid point,
-    which makes the initialized unit reproduce max(x, 0) exactly.
+    Requires an even segment count so that with center 0, 0 falls exactly on a
+    grid point, which makes the initialized unit reproduce max(x, 0) exactly.
     """
     if n_intervals % 2 != 0:
         raise DegenerateParameterError(
@@ -255,11 +258,11 @@ def init_pwlu_relu(n_intervals: int, half_width: float) -> PwluParams:
     if not half_width > 0:
         raise DegenerateParameterError(f"half_width must be positive, got {half_width}")
     d = 2.0 * half_width / n_intervals
-    grid = -half_width + np.arange(n_intervals + 1) * d
+    grid = (center - half_width) + np.arange(n_intervals + 1) * d
     return PwluParams(
         n_intervals=n_intervals,
-        left_boundary=-half_width,
-        right_boundary=half_width,
+        left_boundary=center - half_width,
+        right_boundary=center + half_width,
         y_points=np.maximum(grid, 0.0),
         left_slope=0.0,
         right_slope=1.0,

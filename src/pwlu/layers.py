@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateParameterError, ShapeMismatchError
-from .kernel import MIN_BOUNDARY_WIDTH, PwluParams, init_pwlu_relu
+from .kernel import MIN_BOUNDARY_WIDTH, PwluParams, init_pwlu_relu, segment_table
 from .optim import sgd_momentum_step
 from .stats import RESERVOIR_CAPACITY, Reservoir, RunningStats, update_stats
 
@@ -257,24 +257,23 @@ class PwluActivation(Layer):
         return np.moveaxis(cols.reshape(moved_shape), -1, 1)
 
     def _segments(self, xc):
-        """Segment of every element of xc (elements, units).
+        """Extended segment of every element of xc (elements, units).
 
-        Returns the segment index, its low height, its slope, its left edge,
-        and the masks of elements left and right of the boundary interval.
+        Returns its flat index into the (U, N+2) segment tables and the masks
+        of elements left and right of the interval, which set the outer segments.
         """
         n = self.n_intervals
-        d = (self.b_r - self.b_l) / n
-        raw = (xc - self.b_l) / d
+        raw = (xc - self.b_l) / ((self.b_r - self.b_l) / n)
         # Non-finite inputs (diverged upstream weights) must not crash the
         # index gather; the output stays non-finite and the trainer's loss
         # check reports the offending layer.
-        raw = np.where(np.isfinite(raw), raw, 0.0)
-        idx = np.clip(np.floor(raw), 0, n - 1).astype(np.int64)
-        cols = np.arange(self.n_units)
-        y_lo = self.y[cols, idx]
-        k_mid = (self.y[cols, idx + 1] - y_lo) / d
-        b_idx = self.b_l + idx * d
-        return idx, y_lo, k_mid, b_idx, xc < self.b_l, xc >= self.b_r
+        raw[~np.isfinite(raw)] = 0.0
+        seg = np.clip(np.floor(raw, out=raw), 0, n - 1, out=raw).astype(np.int64) + 1
+        left, right = xc < self.b_l, xc >= self.b_r
+        seg[left] = 0
+        seg[right] = n + 1
+        seg += np.arange(self.n_units) * (n + 2)
+        return seg, left, right
 
     def forward(self, x, training=False):
         if self.granularity == "channel" and (x.ndim < 2 or x.shape[1] != self.n_channels):
@@ -288,12 +287,9 @@ class PwluActivation(Layer):
             rows = np.ascontiguousarray(xc.T)
             self.running_stats = update_stats(self.running_stats, rows)
             self.reservoir.extend(rows)
-        y_lo, k_mid, b_idx, left, right = self._segments(xc)[1:]
-        # Overwriting the outer regions in place keeps fewer full-size
-        # temporaries alive than a nested np.where over three branches.
-        out = (xc - b_idx) * k_mid + y_lo
-        np.copyto(out, (xc - self.b_l) * self.k_l + self.y[:, 0], where=left)
-        np.copyto(out, (xc - self.b_r) * self.k_r + self.y[:, self.n_intervals], where=right)
+        seg = self._segments(xc)[0]
+        edges, slopes, heights = segment_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r)
+        out = (xc - edges.take(seg)) * slopes.take(seg) + heights.take(seg)
         return self._from_columns(out, x)
 
     def backward(self, grad_out):
@@ -303,36 +299,40 @@ class PwluActivation(Layer):
             raise ShapeMismatchError(
                 f"{self.name}: input shape {self._x.shape} != upstream {grad_out.shape}"
             )
-        idx, _, k_mid, b_idx, left, right = self._segments(xc)
-        b_l, b_r, k_l, k_r = self.b_l, self.b_r, self.k_l, self.k_r
+        seg, left, right = self._segments(xc)
+        edges, slopes, _ = segment_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r)
+        edge = edges.take(seg)
+        b_l, b_r = self.b_l, self.b_r
         n = self.n_intervals
-        units = self.n_units
         width = b_r - b_l
         d = width / n
         mid = ~(left | right)
 
-        grad_in = up * np.where(left, k_l, np.where(right, k_r, k_mid))
+        grad_in = up * slopes.take(seg)
+        moment = up * (xc - edge)  # outer slope partial; d times the upper height's weight
 
         # Each region's terms are selected, not multiplied by a 0/1 mask: an
         # infinite input must add nothing outside its region, not 0 * inf.
-        u_l = np.where(left, up, 0.0)
-        u_r = np.where(right, up, 0.0)
-        self.g_b_l = (-k_l) * u_l.sum(axis=0) \
-            + np.where(mid, up * k_mid * (xc - b_r) / width, 0.0).sum(axis=0)
-        self.g_b_r = (-k_r) * u_r.sum(axis=0) \
-            + np.where(mid, up * k_mid * (b_l - xc) / width, 0.0).sum(axis=0)
-        self.g_k_l = np.where(left, up * (xc - b_l), 0.0).sum(axis=0)
-        self.g_k_r = np.where(right, up * (xc - b_r), 0.0).sum(axis=0)
+        up_l = np.where(left, up, 0.0).sum(axis=0)
+        up_r = np.where(right, up, 0.0).sum(axis=0)
+        self.g_b_l = (-self.k_l) * up_l \
+            + np.where(mid, grad_in * (xc - b_r) / width, 0.0).sum(axis=0)
+        self.g_b_r = (-self.k_r) * up_r \
+            + np.where(mid, grad_in * (b_l - xc) / width, 0.0).sum(axis=0)
+        self.g_k_l = np.where(left, moment, 0.0).sum(axis=0)
+        self.g_k_r = np.where(right, moment, 0.0).sum(axis=0)
 
-        g_y = np.zeros((units, n + 1))
-        flat_lo = np.arange(units)[None, :] * (n + 1) + idx
-        # np.add.at keeps a fixed accumulation order, so runs are reproducible.
-        np.add.at(g_y.ravel(), flat_lo.ravel(),
-                  np.where(mid, up * (b_idx + d - xc) / d, 0.0).ravel())
-        np.add.at(g_y.ravel(), (flat_lo + 1).ravel(),
-                  np.where(mid, up * (xc - b_idx) / d, 0.0).ravel())
-        g_y[:, 0] += u_l.sum(axis=0)
-        g_y[:, n] += u_r.sum(axis=0)
+        # Height j of unit u is bin u*(N+2) + j + 1: an element's lower height is
+        # its table index, its upper height the next (outer elements add zeros).
+        # bincount adds in input order, all lower weights first, so runs sum alike.
+        bins = self.n_units * (n + 2)
+        g_y = np.bincount(
+            np.concatenate((seg.ravel(), seg.ravel() + 1)),
+            weights=np.concatenate((np.where(mid, up * (edge + d - xc) / d, 0.0).ravel(),
+                                    np.where(mid, moment / d, 0.0).ravel())),
+            minlength=bins)[:bins].reshape(-1, n + 2)[:, 1:]
+        g_y[:, 0] += up_l
+        g_y[:, n] += up_r
         self.g_y = g_y
         return self._from_columns(grad_in, grad_out)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBatchError, InsufficientSamplesError
-from .kernel import PwluParams
+from .kernel import PwluParams, init_pwlu_relu
 
 logger = logging.getLogger(__name__)
 
@@ -52,8 +52,9 @@ def realign_reset(params: PwluParams, stats: RunningStats) -> PwluParams:
     """Reset a unit to ReLU shape on the three-sigma interval of its inputs.
 
     Boundaries become mean +/- 3*std, outer slopes 0 and 1, and the heights
-    re-sample max(x, 0) at the new grid.  Dead units (std ~ 0) fall back to
-    a half-width of 0.5 around the mean with a warning instead of erroring.
+    re-sample max(x, 0) at the new grid, as `init_pwlu_relu` builds them (so
+    the interval count must be even).  Dead units (std ~ 0) fall back to a
+    half-width of 0.5 around the mean with a warning instead of erroring.
     """
     if stats.update_count < 1:
         raise EmptyBatchError("realignment requires at least one statistics update")
@@ -65,17 +66,7 @@ def realign_reset(params: PwluParams, stats: RunningStats) -> PwluParams:
             DEAD_UNIT_HALF_WIDTH,
         )
         half = DEAD_UNIT_HALF_WIDTH
-    n = params.n_intervals
-    d = 2.0 * half / n
-    grid = (stats.mean - half) + np.arange(n + 1) * d
-    return PwluParams(
-        n_intervals=n,
-        left_boundary=stats.mean - half,
-        right_boundary=stats.mean + half,
-        y_points=np.maximum(grid, 0.0),
-        left_slope=0.0,
-        right_slope=1.0,
-    )
+    return init_pwlu_relu(params.n_intervals, half, center=stats.mean)
 
 
 def compute_iou(interval_a, interval_b) -> float:

@@ -182,7 +182,8 @@ def banks(draw):
     """A PWLU bank with random unit parameters and inputs that hit every edge case.
 
     Each unit's column holds its grid points (boundaries included), +-inf,
-    and random values around its interval; NaNs sit in a separate row.
+    and random values around its interval; NaNs sit in a separate row.  A
+    channel bank sometimes gets a (B, C, H, W) input, as after a Conv2d.
     """
     granularity = draw(st.sampled_from(["channel", "layer"]))
     channels = draw(st.integers(1, 6))
@@ -203,6 +204,10 @@ def banks(draw):
     x = np.stack([np.resize(v, rows) for v in values], axis=1)
     if granularity == "layer":
         x = np.resize(x.ravel(), (rows, channels))
+    elif draw(st.booleans()):
+        h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        batch = -(-rows // (h * w))
+        x = np.moveaxis(np.resize(x, (batch, h, w, channels)), -1, 1)
     seed = draw(st.integers(0, 2**32 - 1))
     return layer, x, seed
 
@@ -211,11 +216,12 @@ class TestPwluBank:
     @staticmethod
     def unit_inputs(layer, x):
         """(unit index, params, that unit's inputs as one flat column)."""
-        cols = x.reshape(-1, 1) if layer.granularity == "layer" else x
-        return [(u, p, cols[:, u]) for u, p in enumerate(layer.units)]
+        return [(u, p, x.ravel() if layer.granularity == "layer" else x[:, u].ravel())
+                for u, p in enumerate(layer.units)]
 
     @settings(deadline=None, max_examples=60)
     @given(banks())
+    @np.errstate(over="ignore", invalid="ignore")  # bank and oracle meet +-inf and NaN
     def test_forward_matches_single_unit_oracle(self, bank):
         layer, x, _ = bank
         out = layer.forward(x)
@@ -231,6 +237,7 @@ class TestPwluBank:
 
     @settings(deadline=None, max_examples=60)
     @given(banks())
+    @np.errstate(over="ignore", invalid="ignore")  # bank and oracle meet +-inf
     def test_gradients_match_single_unit_oracle(self, bank):
         layer, x, seed = bank
         up = np.random.default_rng(seed).normal(size=x.shape)
@@ -424,7 +431,8 @@ class TestTwoPhaseTraining:
         model.layers[0].weight *= 1e200
         sched = TrainSchedule(total_iterations=5, realign_iteration=0, base_lr=0.1, seed=3)
         trainer = Trainer(model, sched, x, labels, batch_size=16)
-        with pytest.raises(NonFiniteLossError) as err:
+        with pytest.raises(NonFiniteLossError) as err, \
+                np.errstate(over="ignore", invalid="ignore"):  # the diverged weights
             trainer.run()
         assert err.value.layer_name == first_bad
 
@@ -560,6 +568,12 @@ class TestCheckpoint:
         ("trainer", "epoch_loss_count", "3"),
         ("trainer", "epoch_loss_sum", "0.5"),
         ("trainer", "batch_size", 0),
+        ("schedule", "base_lr", "0.1"),
+        ("schedule", "momentum", "0.9"),
+        ("schedule", "weight_decay", None),
+        ("schedule", "warmup_frac", "0.05"),
+        ("trainer", "metrics", "x"),
+        pytest.param("trainer", "metrics", [1], id="trainer-metrics-list_of_int"),
         ("bank", "reservoir_rng", "v2_list"),  # one state per unit, as v2 stored
     ])
     def test_header_fields_checked(self, tmp_path, where, field, value):
@@ -575,6 +589,8 @@ class TestCheckpoint:
         record = header
         if where == "bank":
             record = next(meta for meta in header["layers"] if meta["type"] == "pwlu")
+        elif where == "schedule":
+            record = header["schedule"]
         if value == "v2_list":
             value = [record[field]] * record["n_channels"]
         record[field] = value

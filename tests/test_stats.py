@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pwlu.errors import EmptyBatchError, InsufficientSamplesError
-from pwlu.kernel import forward_reference, init_pwlu_relu
+from pwlu.errors import DegenerateParameterError, EmptyBatchError, InsufficientSamplesError
+from pwlu.kernel import PwluParams, forward_reference, init_pwlu_relu
 from pwlu.stats import (
     AlignmentReport,
     Reservoir,
@@ -91,6 +91,12 @@ class TestRealignReset:
         assert out.left_boundary == pytest.approx(1.5)
         assert out.right_boundary == pytest.approx(2.5)
         assert any("half-width" in r.message for r in caplog.records)
+
+    def test_odd_n_rejected(self):
+        # the reset builds its unit as init_pwlu_relu does, which needs an even N
+        p = PwluParams(3, -1.0, 1.0, np.zeros(4), 0.0, 1.0)
+        with pytest.raises(DegenerateParameterError):
+            realign_reset(p, RunningStats(mean=0.0, std=1.0, update_count=1))
 
     def test_idempotent_under_frozen_stats(self):
         p = init_pwlu_relu(8, 3.0)
