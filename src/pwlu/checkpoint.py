@@ -20,9 +20,11 @@ loading, and saving again yields a byte-identical file.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import struct
+import typing
 
 import numpy as np
 
@@ -53,6 +55,14 @@ def _scalar(record, key, kind):
     return record[key]
 
 
+# Header fields read back into a trainer, its schedule and a PWLU bank, each with its kind.
+_TRAINER = {"t": "count", "epoch_loss_sum": "number", "epoch_loss_count": "count",
+            "metrics": "rows"}
+_SCHEDULE = {name: {int: "count", float: "number"}[kind]
+             for name, kind in typing.get_type_hints(TrainSchedule).items()}
+_PWLU = {"n_channels": "size", "n_intervals": "size", "frozen": "flag", "collecting": "flag"}
+
+
 def _layer_manifest(layer):
     if isinstance(layer, Dense):
         meta = {"type": "dense", "name": layer.name,
@@ -68,9 +78,7 @@ def _layer_manifest(layer):
     elif isinstance(layer, PwluActivation):
         meta = {
             "type": "pwlu", "name": layer.name, "granularity": layer.granularity,
-            "n_channels": layer.n_channels,
-            "n_intervals": layer.n_intervals,
-            "frozen": layer.frozen, "collecting": layer.collecting,
+            **{key: getattr(layer, key) for key in _PWLU},
             "stats_count": layer.running_stats.update_count,
             "reservoir_seen": layer.reservoir.seen,
             "reservoir_rng": layer.reservoir.rng.bit_generator.state,
@@ -101,12 +109,8 @@ def _rebuild_layer(meta, arrays):
     elif kind == "swish":
         layer = Swish(name=meta["name"])
     elif kind == "pwlu":
-        layer = PwluActivation(
-            n_channels=_scalar(meta, "n_channels", "size"),
-            n_intervals=_scalar(meta, "n_intervals", "size"),
-            granularity=meta["granularity"], frozen=_scalar(meta, "frozen", "flag"),
-            collecting=_scalar(meta, "collecting", "flag"), name=meta["name"],
-        )
+        layer = PwluActivation(granularity=meta["granularity"], name=meta["name"],
+                               **{key: _scalar(meta, key, k) for key, k in _PWLU.items()})
     else:
         raise CheckpointError(f"unknown layer type {kind!r} in checkpoint")
     if meta["arrays"] != _layer_manifest(layer)[0]["arrays"]:
@@ -127,7 +131,6 @@ def _rebuild_layer(meta, arrays):
 
 
 def save_checkpoint(path, trainer: Trainer) -> None:
-    sched = trainer.schedule
     manifest = []
     all_arrays = []
     for layer in trainer.model.layers:
@@ -137,21 +140,10 @@ def save_checkpoint(path, trainer: Trainer) -> None:
 
     header = {
         "version": VERSION,
-        "t": trainer.t,
         "batch_size": trainer.batch_size,
-        "epoch_loss_sum": trainer.epoch_loss_sum,
-        "epoch_loss_count": trainer.epoch_loss_count,
-        "schedule": {
-            "total_iterations": sched.total_iterations,
-            "realign_iteration": sched.realign_iteration,
-            "base_lr": sched.base_lr,
-            "momentum": sched.momentum,
-            "weight_decay": sched.weight_decay,
-            "warmup_frac": sched.warmup_frac,
-            "seed": sched.seed,
-        },
+        **{key: getattr(trainer, key) for key in _TRAINER},
+        "schedule": dataclasses.asdict(trainer.schedule),
         "rng_state": trainer.rng.bit_generator.state,
-        "metrics": trainer.metrics,
         "layers": manifest,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -215,15 +207,13 @@ def load_checkpoint(path, train_features, train_labels,
     """Rebuild a trainer mid-run.  Datasets are supplied by the caller."""
     header, layers = _read_checkpoint(path)
     with _faults_as_checkpoint_error(path):
-        for key in ("base_lr", "momentum", "weight_decay", "warmup_frac"):
-            _scalar(header["schedule"], key, "number")
+        for key, kind in _SCHEDULE.items():
+            _scalar(header["schedule"], key, kind)
         sched = TrainSchedule(**header["schedule"])
         trainer = Trainer(Model(layers), sched, train_features, train_labels,
                           batch_size=_scalar(header, "batch_size", "size"),
                           test_features=test_features, test_labels=test_labels)
-        trainer.t = _scalar(header, "t", "count")
-        trainer.epoch_loss_sum = _scalar(header, "epoch_loss_sum", "number")
-        trainer.epoch_loss_count = _scalar(header, "epoch_loss_count", "count")
-        trainer.metrics = _scalar(header, "metrics", "rows")
+        for key, kind in _TRAINER.items():
+            setattr(trainer, key, _scalar(header, key, kind))
         trainer.rng.bit_generator.state = header["rng_state"]
     return trainer

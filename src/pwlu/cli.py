@@ -19,18 +19,19 @@ import numpy as np
 from .checkpoint import load_model, save_checkpoint
 from .data import export_shapes, gen_spirals, load_idx, standardize
 from .errors import ConfigError, PwluError
-from .kernel import build_fused, forward_fused, forward_reference, init_pwlu_relu
+from .kernel import (MIN_BOUNDARY_WIDTH, build_fused, forward_fused, forward_reference,
+                     init_pwlu_relu)
 from .layers import build_mlp
 from .optim import TrainSchedule
 from .stats import write_alignment_csv
 from .trainer import Trainer
 
 
-def _option(default, help=None, choices=None):
-    """A RunConfig field with its --flag help text and, if given, its allowed values."""
+def _option(default, help=None, choices=None, low=None):
+    """A RunConfig field with its --flag help text and, if given, its choices or least value."""
     if choices:
         help = "|".join(choices)
-    return dataclasses.field(default=default, metadata={"help": help, "choices": choices})
+    return dataclasses.field(default=default, metadata=dict(help=help, choices=choices, low=low))
 
 
 @dataclasses.dataclass
@@ -50,18 +51,18 @@ class RunConfig:
     realign: str = _option("on", choices=("on", "off"))
     t_prime_epochs: int = 5
     half_width: float = 3.0
-    epochs: int = 60
-    lr: float = 0.1
+    epochs: int = _option(60, low=0)
+    lr: float = _option(0.1, low=0)
     momentum: float = 0.9
     weight_decay: float = 0.0
-    batch_size: int = 64
-    seed: int = 0
+    batch_size: int = _option(64, low=1)
+    seed: int = _option(0, low=0)
     out: str = _option("run_out", "output directory")
-    n_per_class: int = 600
-    noise: float = 0.02
+    n_per_class: int = _option(600, low=1)
+    noise: float = _option(0.02, low=0)
     n_list: str = _option("4,8,12,16,20", "comma-separated interval counts for sweep-n")
-    repetitions: int = 500
-    batch_elems: int = 1_000_000
+    repetitions: int = _option(500, low=1)
+    batch_elems: int = _option(1_000_000, low=1)
     checkpoint: str = ""
 
     def widths(self) -> list[int]:
@@ -101,26 +102,16 @@ class RunConfig:
                 raise ConfigError(name, f"must be {'|'.join(choices)}, got {value!r}")
             if _TYPES[name] is float and not np.isfinite(value):
                 raise ConfigError(name, f"must be finite, got {value}")
+            low = option.metadata.get("low")
+            if low is not None and value < low:
+                raise ConfigError(name, f"must be >= {low}, got {value}")
         if self.n_intervals < 2 or self.n_intervals % 2 != 0:
             raise ConfigError("n_intervals", f"must be even and >= 2, got {self.n_intervals}")
         if self.half_width <= 0:
             raise ConfigError("half_width", f"must be positive, got {self.half_width}")
-        if self.epochs < 0:
-            raise ConfigError("epochs", f"must be >= 0, got {self.epochs}")
-        if self.lr < 0:
-            raise ConfigError("lr", f"must be >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size", f"must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
-        if self.n_per_class < 1:
-            raise ConfigError("n_per_class", f"must be >= 1, got {self.n_per_class}")
-        if self.noise < 0:
-            raise ConfigError("noise", f"must be >= 0, got {self.noise}")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions", f"must be >= 1, got {self.repetitions}")
-        if self.batch_elems < 1:
-            raise ConfigError("batch_elems", f"must be >= 1, got {self.batch_elems}")
+        if not MIN_BOUNDARY_WIDTH <= 2 * self.half_width < np.inf:
+            raise ConfigError("half_width", f"2 * half_width must be finite and >= "
+                                            f"{MIN_BOUNDARY_WIDTH}, got {2 * self.half_width}")
         if self.realign == "on" and self.activation == "pwlu":
             if not 1 <= self.t_prime_epochs < max(1, self.epochs):
                 raise ConfigError(

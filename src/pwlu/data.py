@@ -5,11 +5,12 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BadMagicError, CountMismatchError, IdxFormatError, TruncatedPayloadError
+from .errors import (BadMagicError, CountMismatchError, IdxFormatError, ShapeFileError,
+                     TruncatedPayloadError)
 from .kernel import PwluParams, forward_reference
 from .layers import Model
 
@@ -141,33 +142,19 @@ def export_shapes(model: Model, csv_path: str, json_path: str) -> None:
                         repr(params.left_boundary), repr(params.right_boundary),
                         repr(params.left_slope), repr(params.right_slope),
                     ])
-                sidecar.append({
-                    "layer": layer.name,
-                    "unit": u,
-                    "n_intervals": params.n_intervals,
-                    "left_boundary": params.left_boundary,
-                    "right_boundary": params.right_boundary,
-                    "y_points": params.y_points.tolist(),
-                    "left_slope": params.left_slope,
-                    "right_slope": params.right_slope,
-                })
+                sidecar.append({"layer": layer.name, "unit": u, **asdict(params),
+                                "y_points": params.y_points.tolist()})
     with open(json_path, "w") as fh:
         json.dump(sidecar, fh, indent=2)
 
 
 def load_shape_params(json_path: str) -> list[tuple[str, int, PwluParams]]:
-    """Inverse of the JSON sidecar written by :func:`export_shapes`."""
-    with open(json_path) as fh:
-        entries = json.load(fh)
-    out = []
-    for e in entries:
-        params = PwluParams(
-            n_intervals=e["n_intervals"],
-            left_boundary=e["left_boundary"],
-            right_boundary=e["right_boundary"],
-            y_points=np.array(e["y_points"]),
-            left_slope=e["left_slope"],
-            right_slope=e["right_slope"],
-        )
-        out.append((e["layer"], e["unit"], params))
-    return out
+    """Inverse of the JSON sidecar of :func:`export_shapes`; ShapeFileError if it is malformed."""
+    try:
+        with open(json_path) as fh:
+            entries = json.load(fh)
+        if type(entries) is not list or not all(type(e) is dict for e in entries):
+            raise ShapeFileError(f"shape file {json_path} does not hold a list of objects")
+        return [(e.pop("layer"), e.pop("unit"), PwluParams(**e)) for e in entries]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ShapeFileError(f"bad shape file {json_path}: {type(exc).__name__}: {exc}") from exc

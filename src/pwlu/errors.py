@@ -41,6 +41,10 @@ class CheckpointError(PwluError):
     """Checkpoint file is missing, corrupt, or from an unsupported version."""
 
 
+class ShapeFileError(PwluError):
+    """Shape sidecar file is missing, not JSON, or lacks a unit's fields."""
+
+
 class ConfigError(PwluError):
     """Invalid run configuration. `field` names the offending option."""
 

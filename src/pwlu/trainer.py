@@ -44,20 +44,21 @@ class Trainer:
         self.post_reports: list[AlignmentReport] = []
 
     @staticmethod
-    def _alignment_reports(layer) -> list[AlignmentReport]:
-        intervals = zip(layer.units, *layer.reservoir.percentile_interval())
-        return [AlignmentReport.from_unit(layer.name, u, params, p05, p95)
-                for u, (params, p05, p95) in enumerate(intervals)]
+    def _alignment_reports(layer, p05, p95) -> list[AlignmentReport]:
+        return [AlignmentReport.from_unit(layer.name, u, params, lo, hi)
+                for u, (params, lo, hi) in enumerate(zip(layer.units, p05, p95))]
 
     def realign_now(self) -> None:
         """Reset every PWLU unit from its running statistics, unfreeze, and end collection."""
         self.pre_reports, self.post_reports = [], []
         for layer in self.model.pwlu_layers():
-            self.pre_reports += self._alignment_reports(layer)
+            # Realignment leaves the samples as they are, so both reports share one sort.
+            p05, p95 = layer.reservoir.percentile_interval()
+            self.pre_reports += self._alignment_reports(layer, p05, p95)
             for u, (params, stats) in enumerate(zip(layer.units, layer.stats)):
                 layer.set_unit(u, realign_reset(params, stats))
             layer.frozen = False
-            self.post_reports += self._alignment_reports(layer)
+            self.post_reports += self._alignment_reports(layer, p05, p95)
             layer.stop_collecting()
 
     def step(self) -> float:

@@ -48,6 +48,11 @@ class TestValidation:
         (["train", "--weight-decay", "nan"], "weight_decay"),
         (["train", "--lr", "inf"], "lr"),
         (["train", "--noise", "inf"], "noise"),
+        (["train", "--epochs", "-1"], "epochs"),
+        (["train", "--lr", "-0.5"], "lr"),
+        (["train", "--batch-size", "0"], "batch_size"),
+        (["train", "--half-width", "1e308"], "half_width"),  # 2 * half_width overflows
+        (["train", "--half-width", "1e-13"], "half_width"),  # below MIN_BOUNDARY_WIDTH
     ])
     def test_rejected_with_exit_2(self, capsys, argv, field):
         assert main(argv) == 2

@@ -15,7 +15,7 @@ from pwlu.data import (
     load_shape_params,
     standardize,
 )
-from pwlu.errors import BadMagicError, CountMismatchError, TruncatedPayloadError
+from pwlu.errors import BadMagicError, CountMismatchError, ShapeFileError, TruncatedPayloadError
 from pwlu.kernel import forward_reference
 from pwlu.layers import build_mlp
 
@@ -191,6 +191,21 @@ class TestShapeExport:
             if x < p.left_boundary or x > p.right_boundary:
                 seen_outside = True
         assert seen_outside  # export must cover the outer-slope regions
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda path: path.write_text(json.dumps(
+            [{k: v for k, v in e.items() if k != "right_slope"}
+             for e in json.loads(path.read_text())])),
+        lambda path: path.write_text("not json"),
+        lambda path: path.write_text('{"layer": "pwlu1", "unit": 0}'),
+        lambda path: path.unlink(),
+    ], ids=["missing_field", "not_json", "top_level_object", "missing_file"])
+    def test_malformed_sidecar_rejected(self, tmp_path, corrupt):
+        json_path = tmp_path / "s.json"
+        export_shapes(self.make_model(), str(tmp_path / "s.csv"), str(json_path))
+        corrupt(json_path)
+        with pytest.raises(ShapeFileError, match="s.json"):
+            load_shape_params(str(json_path))
 
     def test_json_is_plain_data(self, tmp_path):
         model = self.make_model()

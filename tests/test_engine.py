@@ -572,6 +572,9 @@ class TestCheckpoint:
         ("schedule", "momentum", "0.9"),
         ("schedule", "weight_decay", None),
         ("schedule", "warmup_frac", "0.05"),
+        ("schedule", "realign_iteration", 10.5),
+        ("schedule", "total_iterations", 30.5),
+        ("schedule", "seed", True),
         ("trainer", "metrics", "x"),
         pytest.param("trainer", "metrics", [1], id="trainer-metrics-list_of_int"),
         ("bank", "reservoir_rng", "v2_list"),  # one state per unit, as v2 stored
