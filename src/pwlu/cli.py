@@ -21,7 +21,7 @@ from .data import export_shapes, gen_spirals, load_idx, standardize
 from .errors import ConfigError, PwluError
 from .kernel import (MIN_BOUNDARY_WIDTH, build_fused, forward_fused, forward_reference,
                      init_pwlu_relu)
-from .layers import build_mlp
+from .layers import Dense, build_mlp
 from .optim import TrainSchedule
 from .stats import write_alignment_csv
 from .trainer import Trainer
@@ -268,17 +268,21 @@ def _time_kernel(fn, repetitions: int):
         start = time.perf_counter()
         fn()
         samples[i] = time.perf_counter() - start
-    return samples.mean() * 1e3, samples.std() * 1e3
+    # Python floats, so that bench.csv holds plain numbers under numpy 2.
+    return float(samples.mean()) * 1e3, float(samples.std()) * 1e3
 
 
 def cmd_bench(config: RunConfig) -> int:
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    model = None
     if config.checkpoint:
         model = load_model(config.checkpoint)
         pwlu_layers = model.pwlu_layers()
         if not pwlu_layers:
             raise ConfigError("checkpoint", "checkpoint has no PWLU layers to benchmark")
+        if not isinstance(model.layers[0], Dense):
+            raise ConfigError("checkpoint", "the model bench needs a dense input layer")
         params = pwlu_layers[0].units[0]
     else:
         params = init_pwlu_relu(config.n_intervals, config.half_width)
@@ -294,6 +298,14 @@ def cmd_bench(config: RunConfig) -> int:
         ("fused_f64", lambda: forward_fused(x, table64)),
         ("fused_f32", lambda: forward_fused(x32, table32)),
     ]
+    if model is not None:
+        # The whole model on about batch_elems inputs: three-branch forward, then fused predict.
+        in_dim = model.layers[0].weight.shape[0]
+        batch = rng.normal(size=(max(1, config.batch_elems // in_dim), in_dim))
+        kernels += [
+            ("model_forward", lambda: model.forward(batch).argmax(axis=1)),
+            ("model_predict", lambda: model.predict(batch)),
+        ]
     rows = []
     for name, fn in kernels:
         mean_ms, std_ms = _time_kernel(fn, config.repetitions)
@@ -303,7 +315,7 @@ def cmd_bench(config: RunConfig) -> int:
         for name, mean_ms, std_ms in rows:
             fh.write(f"{name},{mean_ms!r},{std_ms!r}\n")
     for name, mean_ms, std_ms in rows:
-        print(f"{name:<10s} mean={mean_ms:8.3f} ms  std={std_ms:.3f} ms")
+        print(f"{name:<13s} mean={mean_ms:8.3f} ms  std={std_ms:.3f} ms")
     return 0
 
 

@@ -4,7 +4,7 @@ The unit is a scalar function made of N uniform linear segments over
 [left_boundary, right_boundary] with learnable segment heights, plus two
 learnable slopes outside the boundaries.  The reference forward and backward
 here are one-unit oracles; the bank forward and backward in :mod:`pwlu.layers`
-and `build_fused` all read one `segment_table`.
+and `fused_table`, for one unit or a bank, all read one `segment_table`.
 """
 
 from __future__ import annotations
@@ -93,12 +93,14 @@ class FusedPwluTable:
 
     slopes and offsets have n_intervals + 2 entries covering the extended
     segment index -1..n_intervals (stored with offset +1): -1 is the region
-    left of the boundary, n_intervals the region right of it.
+    left of the boundary, n_intervals the region right of it.  A bank's
+    table holds U units: (U,) left_boundary and inv_interval_len, and
+    (U, n_intervals + 2) slopes and offsets.
     """
 
     n_intervals: int
-    left_boundary: float
-    inv_interval_len: float
+    left_boundary: float | np.ndarray
+    inv_interval_len: float | np.ndarray
     slopes: np.ndarray
     offsets: np.ndarray
 
@@ -213,36 +215,57 @@ def segment_table(b_l, b_r, y, k_l, k_r):
     return edges, slopes, heights
 
 
-def build_fused(params: PwluParams, dtype=np.float64) -> FusedPwluTable:
-    """Precompute the slope/offset table for constant-time inference.
+def fused_table(b_l, b_r, y, k_l, k_r, dtype=np.float64) -> FusedPwluTable:
+    """Slope/offset table of one unit (scalars) or a bank ((U,) arrays).
 
     Entry j of the segment table stores its slope S_j and the offset
     O_j = height_j - edge_j*S_j, so that x*S + O reproduces all three
     branches of the reference forward.
     """
-    params.validate()
-    edges, slopes, heights = segment_table(params.left_boundary, params.right_boundary,
-                                           params.y_points, params.left_slope, params.right_slope)
+    edges, slopes, heights = segment_table(b_l, b_r, y, k_l, k_r)
+    n = y.shape[-1] - 1
     return FusedPwluTable(
-        n_intervals=params.n_intervals,
-        left_boundary=dtype(params.left_boundary),
-        inv_interval_len=dtype(1.0 / params.interval_len),
+        n_intervals=n,
+        left_boundary=dtype(b_l),
+        inv_interval_len=dtype(1.0 / ((b_r - b_l) / n)),
         slopes=slopes.astype(dtype),
         offsets=(heights - edges * slopes).astype(dtype),
     )
 
 
+def build_fused(params: PwluParams, dtype=np.float64) -> FusedPwluTable:
+    """Precompute one unit's slope/offset table for constant-time inference."""
+    params.validate()
+    return fused_table(params.left_boundary, params.right_boundary, params.y_points,
+                       params.left_slope, params.right_slope, dtype)
+
+
 def forward_fused(x, table: FusedPwluTable) -> np.ndarray:
     """Single multiply-add evaluation via the precomputed table.
 
-    The extended index clip(floor((x - B_L)/d), -1, N) folds the two outer
-    branches into the same gather as the interior segments.  NaN takes the
-    left branch, whose multiply-add keeps it NaN.
+    A one-unit table takes x of any shape; a bank table takes (elements, U)
+    columns.  The extended index clamp(floor((x - B_L)/d), -1, N) folds the
+    two outer branches into the same gather as the interior segments: fmax
+    sends NaN to -1, the left branch, whose multiply-add keeps it NaN, and
+    +-inf lands on the outer segments.
     """
     x = np.asarray(x, dtype=table.slopes.dtype)
-    idx = np.nan_to_num(np.floor((x - table.left_boundary) * table.inv_interval_len), nan=-1.0)
-    idx = np.clip(idx, -1, table.n_intervals).astype(np.int64) + 1
-    return x * table.slopes[idx] + table.offsets[idx]
+    n = table.n_intervals
+    # Updated in place: a fresh full-size temporary can cost more in page
+    # faults than the arithmetic done in it.  (asarray: 0-d x gives a scalar.)
+    raw = np.asarray(x - table.left_boundary)
+    np.multiply(raw, table.inv_interval_len, out=raw)
+    np.floor(raw, out=raw)
+    np.fmax(raw, -1, out=raw)
+    np.fmin(raw, n, out=raw)
+    # Unit u's entries start at u*(N+2); a one-unit table's shape () start is 0.
+    start = (n + 2) * np.arange(table.slopes.size // (n + 2)).reshape(table.slopes.shape[:-1])
+    idx = raw.astype(np.int64)
+    idx += start + 1
+    out = table.slopes.take(idx)
+    out *= x
+    out += table.offsets.take(idx, out=raw)
+    return out
 
 
 def init_pwlu_relu(n_intervals: int, half_width: float, center: float = 0.0) -> PwluParams:

@@ -147,6 +147,17 @@ class TestBench:
         names = [l.split(",")[0] for l in lines[1:]]
         assert names == ["relu", "reference", "fused_f64", "fused_f32"]
 
+    def test_checkpoint_times_the_model_both_ways(self, tmp_path, capsys):
+        _, run = run_train(tmp_path)
+        out = tmp_path / "bench"
+        code = main(["bench", "--checkpoint", str(run / "checkpoint.bin"),
+                     "--repetitions", "3", "--batch-elems", "1000", "--out", str(out)])
+        assert code == 0
+        rows = [l.split(",") for l in (out / "bench.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["relu", "reference", "fused_f64", "fused_f32",
+                                        "model_forward", "model_predict"]
+        assert all(float(mean) > 0 and float(std) >= 0 for _, mean, std in rows)
+
 
 class TestExport:
     def test_round_trip(self, tmp_path):

@@ -17,7 +17,8 @@ from pwlu.errors import (
     PwluError,
     ShapeMismatchError,
 )
-from pwlu.kernel import PwluParams, forward_reference, init_pwlu_relu
+from pwlu.kernel import (PwluParams, build_fused, forward_fused, forward_reference, init_pwlu_relu,
+                         segment_table)
 from pwlu.kernel import backward as kernel_backward
 from pwlu.layers import (
     Conv2d,
@@ -261,6 +262,36 @@ class TestPwluBank:
             np.testing.assert_allclose(layer.g_k_r[u], want.right_slope, **tol)
             np.testing.assert_allclose(layer.g_y[u], want.y_points, **tol)
 
+    @settings(deadline=None, max_examples=60)
+    @given(banks())
+    @np.errstate(over="ignore", invalid="ignore")  # +-inf meets zero outer slopes
+    def test_infer_matches_per_unit_fused(self, bank):
+        layer, x, _ = bank
+        nan_row = np.full((1, x.shape[1]), np.nan)
+        for xs in (x, nan_row):
+            want = layer.forward(xs)
+            kept = layer._x, layer._lookup
+            out = layer.infer(xs)
+            assert layer._x is kept[0] and layer._lookup is kept[1]
+            for (u, p, xu), (_, _, got) in zip(self.unit_inputs(layer, xs),
+                                               self.unit_inputs(layer, out)):
+                np.testing.assert_array_equal(got, forward_fused(xu, build_fused(p)))
+            # the three-branch forward's values: equal where x is not finite,
+            # within 8 eps of the multiply-add's operands elsewhere
+            finite = np.isfinite(xs)
+            np.testing.assert_array_equal(out[~finite], want[~finite])
+            edges, slopes, heights = segment_table(layer.b_l, layer.b_r, layer.y,
+                                                   layer.k_l, layer.k_r)
+            scale = 1.0 + np.abs(xs[finite]) * np.abs(slopes).max() \
+                + np.abs(edges * slopes).max() + np.abs(heights).max()
+            assert np.all(np.abs(out[finite] - want[finite]) <= 8 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("method", ["forward", "infer"])
+    def test_wrong_channel_count_rejected(self, method):
+        layer = PwluActivation(3, n_intervals=4)
+        with pytest.raises(ShapeMismatchError):
+            getattr(layer, method)(np.zeros((5, 4)))
+
     @settings(deadline=None, max_examples=30)
     @given(banks())
     def test_units_read_only_and_set_unit_round_trips(self, bank):
@@ -448,6 +479,23 @@ class TestTwoPhaseTraining:
             return pwlu_checksum(model)
 
         assert run_once() == run_once()
+
+
+class TestInference:
+    def test_predict_matches_forward_argmax(self):
+        train, test = standardize(gen_spirals(600, 0.02, 0), gen_spirals(600, 0.02, 100_000))
+        model = build_mlp([2, 32, 32, 2], "pwlu", np.random.default_rng(0),
+                          pwlu_frozen=True, pwlu_collecting=True)
+        ipe = train.features.shape[0] // 64
+        sched = TrainSchedule(total_iterations=12 * ipe, realign_iteration=2 * ipe,
+                              base_lr=0.1, seed=0)
+        Trainer(model, sched, train.features, train.labels, batch_size=64).run()
+        assert test.features.shape == (1200, 2)
+        kept = [layer._x for layer in model.pwlu_layers()]
+        got = model.predict(test.features)
+        # the fused path leaves the training forward's cache alone
+        assert all(layer._x is x for layer, x in zip(model.pwlu_layers(), kept))
+        np.testing.assert_array_equal(got, model.forward(test.features).argmax(axis=1))
 
 
 class TestEndToEndGradients:
