@@ -169,14 +169,16 @@ class PwluActivation(Layer):
 
     granularity "channel" keeps one unit per channel (axis 1 of the input);
     "layer" shares a single unit across the whole tensor.  While `frozen`,
-    the optimizer step leaves the unit parameters untouched (gradients still
-    flow to earlier layers).  While `collecting`, each training forward
+    backward computes only the input gradient, which still flows to earlier
+    layers, and sets every g_* to None, so the optimizer step leaves the unit
+    parameters untouched.  While `collecting`, each training forward
     updates the running mean/std and the reservoir sample of every unit;
     `stop_collecting` ends that and frees the samples.
 
     The parameters of all units are stored once, as arrays over units:
     b_l, b_r, k_l, k_r of shape (U,) and y of shape (U, N+1), with
-    velocities v_* and gradients g_* of the same shapes.  `units` is a
+    velocities v_* of the same shapes and gradients g_* that have them after
+    a backward of an unfrozen bank (None before the first one).  `units` is a
     read-only snapshot of them as PwluParams; `set_unit` writes one unit.
     So are `running_stats`, with (U,) mean and std, and the U streams of
     `reservoir`, which share one generator; `stats` is a read-only snapshot
@@ -253,10 +255,12 @@ class PwluActivation(Layer):
         """Flatten to (elements, units): channel axis last, all else merged."""
         if self.granularity == "layer":
             return x.reshape(-1, 1)
+        if x.ndim == 2:  # (batch, channels) already is; moving axis 1 to the end is the identity
+            return x
         return np.moveaxis(x, 1, -1).reshape(-1, self.n_channels)
 
     def _from_columns(self, cols, like):
-        if self.granularity == "layer":
+        if self.granularity == "layer" or like.ndim == 2:
             return cols.reshape(like.shape)
         moved_shape = like.shape[:1] + like.shape[2:] + (self.n_channels,)
         return np.moveaxis(cols.reshape(moved_shape), -1, 1)
@@ -316,40 +320,83 @@ class PwluActivation(Layer):
             )
         seg, left, right = self._lookup
         edges, slopes, _ = segment_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r)
-        edge = edges.take(seg)
+        grad_in = slopes.take(seg)
+        grad_in *= up  # up * slope bit for bit: multiplication commutes
+        if self.frozen:
+            # step() reads no gradient while frozen, so none is computed or kept.
+            for p in self.params:
+                setattr(self, f"g_{p}", None)
+        else:
+            self._param_grads(xc, up, grad_in, edges.take(seg), seg, left, right)
+        return self._from_columns(grad_in, grad_out)
+
+    def _param_grads(self, xc, up, grad_in, edge, seg, left, right):
+        """Set every g_* from the columns of one backward; edge is each element's left edge.
+
+        Each quantity is built in place in a few reused buffers, in the
+        operation order of the expression in its comment, so it has that
+        expression's bits.
+        """
         b_l, b_r = self.b_l, self.b_r
         n = self.n_intervals
         width = b_r - b_l
         d = width / n
-        mid = ~(left | right)
+        # Flat indices, not masks: a scatter to the outer elements costs less
+        # than a masked pass over all of them, even when half lie outside.
+        left_at, right_at = np.flatnonzero(left), np.flatnonzero(right)
+        outside_at = np.concatenate((left_at, right_at))
+        # weights[0] is each element's lower height weight, up * (edge + d - xc) / d,
+        # and weights[1] its upper one, moment / d, where moment = up * (xc - edge)
+        # is also the outer slope partial.
+        weights = np.empty((2,) + xc.shape)
+        lower, moment = weights
+        np.add(edge, d, out=lower)
+        lower -= xc
+        lower *= up
+        lower /= d
+        np.subtract(xc, edge, out=moment)
+        moment *= up
 
-        grad_in = up * slopes.take(seg)
-        moment = up * (xc - edge)  # outer slope partial; d times the upper height's weight
+        # Each sum runs over np.where(region, values, 0.0), built in one scratch
+        # buffer: an infinite input must add nothing outside its region, not 0 * inf.
+        scratch = np.empty(xc.shape)
 
-        # Each region's terms are selected, not multiplied by a 0/1 mask: an
-        # infinite input must add nothing outside its region, not 0 * inf.
-        up_l = np.where(left, up, 0.0).sum(axis=0)
-        up_r = np.where(right, up, 0.0).sum(axis=0)
-        self.g_b_l = (-self.k_l) * up_l \
-            + np.where(mid, grad_in * (xc - b_r) / width, 0.0).sum(axis=0)
-        self.g_b_r = (-self.k_r) * up_r \
-            + np.where(mid, grad_in * (b_l - xc) / width, 0.0).sum(axis=0)
-        self.g_k_l = np.where(left, moment, 0.0).sum(axis=0)
-        self.g_k_r = np.where(right, moment, 0.0).sum(axis=0)
+        def region_sum(values, at):
+            scratch.fill(0.0)
+            np.put(scratch, at, values.take(at))
+            return scratch.sum(axis=0)
+
+        def mid_sum(values):
+            np.put(values, outside_at, 0.0)
+            return values.sum(axis=0)
+
+        up_l, up_r = region_sum(up, left_at), region_sum(up, right_at)
+        self.g_k_l = region_sum(moment, left_at)
+        self.g_k_r = region_sum(moment, right_at)
+        # grad_in * (xc - b_r) / width and grad_in * (b_l - xc) / width in the interval
+        np.subtract(xc, b_r, out=scratch)
+        scratch *= grad_in
+        scratch /= width
+        self.g_b_l = (-self.k_l) * up_l + mid_sum(scratch)
+        np.subtract(b_l, xc, out=scratch)
+        scratch *= grad_in
+        scratch /= width
+        self.g_b_r = (-self.k_r) * up_r + mid_sum(scratch)
 
         # Height j of unit u is bin u*(N+2) + j + 1: an element's lower height is
         # its table index, its upper height the next (outer elements add zeros).
         # bincount adds in input order, all lower weights first, so runs sum alike.
+        moment /= d
+        weights.reshape(2, -1)[:, outside_at] = 0.0
+        index = np.empty(weights.shape, np.int64)
+        index[0] = seg
+        np.add(seg, 1, out=index[1])
         bins = self.n_units * (n + 2)
-        g_y = np.bincount(
-            np.concatenate((seg.ravel(), seg.ravel() + 1)),
-            weights=np.concatenate((np.where(mid, up * (edge + d - xc) / d, 0.0).ravel(),
-                                    np.where(mid, moment / d, 0.0).ravel())),
-            minlength=bins)[:bins].reshape(-1, n + 2)[:, 1:]
+        g_y = np.bincount(index.ravel(), weights=weights.ravel(),
+                          minlength=bins)[:bins].reshape(-1, n + 2)[:, 1:]
         g_y[:, 0] += up_l
         g_y[:, n] += up_r
         self.g_y = g_y
-        return self._from_columns(grad_in, grad_out)
 
     def step(self, lr, momentum, weight_decay):
         # Unit parameters never receive weight decay; decaying the heights

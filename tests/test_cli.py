@@ -1,8 +1,14 @@
 """Command-line interface: validation, artifacts, determinism, precedence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pwlu
 from pwlu import cli
 from pwlu.checkpoint import load_model
 from pwlu.cli import main
@@ -248,3 +254,22 @@ class TestConfigFile:
             "realign=on", "repetitions=500", "seed=0", "t_prime_epochs=5",
             "weight_decay=0.0",
         ])
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def python_m_pwlu(*args):
+        src = str(Path(pwlu.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "pwlu", *args], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+    def test_help_exits_zero(self):
+        proc = self.python_m_pwlu("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "train" in proc.stdout
+
+    def test_bad_config_exit_code_passes_through(self):
+        proc = self.python_m_pwlu("train", "--epochs", "-1")
+        assert proc.returncode == 2
+        assert "field=epochs" in proc.stderr

@@ -286,6 +286,41 @@ class TestPwluBank:
                 + np.abs(edges * slopes).max() + np.abs(heights).max()
             assert np.all(np.abs(out[finite] - want[finite]) <= 8 * np.finfo(float).eps * scale)
 
+    @settings(deadline=None, max_examples=60)
+    @given(banks())
+    @np.errstate(over="ignore", invalid="ignore")  # +-inf and NaN inputs
+    def test_frozen_bank_computes_only_the_input_gradient(self, bank):
+        layer, x, seed = bank
+        x = np.concatenate([x, np.full((1,) + x.shape[1:], np.nan)])
+        up = np.random.default_rng(seed).normal(size=x.shape)
+        layer.forward(x)
+        trained_in = layer.backward(up)
+        trained = {p: getattr(layer, f"g_{p}") for p in layer.params}
+        layer.frozen = True
+        layer.forward(x)
+        frozen_in = layer.backward(up)
+        np.testing.assert_array_equal(frozen_in.view(np.uint64), trained_in.view(np.uint64))
+        assert all(getattr(layer, f"g_{p}") is None for p in layer.params)
+        layer.frozen = False
+        layer.forward(x)
+        layer.backward(up)
+        for p, want in trained.items():
+            np.testing.assert_array_equal(getattr(layer, f"g_{p}"), want)
+
+    @settings(deadline=None, max_examples=30)
+    @given(banks())
+    @np.errstate(over="ignore", invalid="ignore")  # +-inf inputs
+    def test_gradients_do_not_depend_on_memory_layout(self, bank):
+        layer, x, seed = bank
+        up = np.random.default_rng(seed).normal(size=x.shape)
+        got = []
+        for xs, ups in ((np.ascontiguousarray(x), np.ascontiguousarray(up)),
+                        (np.asfortranarray(x), np.asfortranarray(up))):
+            layer.forward(xs)
+            got.append([layer.backward(ups)] + [getattr(layer, f"g_{p}") for p in layer.params])
+        for a, b in zip(*got):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
     @pytest.mark.parametrize("method", ["forward", "infer"])
     def test_wrong_channel_count_rejected(self, method):
         layer = PwluActivation(3, n_intervals=4)
@@ -407,6 +442,28 @@ class TestTwoPhaseTraining:
             trainer.step()
             if trainer.t <= 20:
                 assert pwlu_checksum(model) == checksum or trainer.t == 20
+
+    def test_first_step_after_realign_trains_the_units(self):
+        x, labels = tiny_problem(seed=5)
+        model = build_mlp([2, 8, 2], "pwlu", np.random.default_rng(4),
+                          n_intervals=4, pwlu_frozen=True, pwlu_collecting=True)
+        sched = TrainSchedule(total_iterations=20, realign_iteration=10, base_lr=0.1, seed=4)
+        trainer = Trainer(model, sched, x, labels, batch_size=16)
+        layer = model.pwlu_layers()[0]
+        while trainer.t < sched.realign_iteration:
+            trainer.step()
+        assert layer.frozen and layer.g_y is None
+        realign, realigned = trainer.realign_now, []
+
+        def realign_and_keep():
+            realign()
+            realigned.append({p: getattr(layer, p).copy() for p in ("y", "b_l", "b_r")})
+
+        trainer.realign_now = realign_and_keep
+        trainer.step()  # realigns, then takes the first trained step
+        assert len(realigned) == 1
+        for p, before in realigned[0].items():
+            assert not np.array_equal(getattr(layer, p), before), p
 
     def test_realign_targets_input_distribution(self):
         # one frozen PWLU bank fed N(5,1) while boundaries start at [-3,3]
