@@ -22,52 +22,59 @@ MIN_BOUNDARY_WIDTH = 1e-12
 
 @dataclass(eq=False)
 class PwluParams:
-    """Learnable parameter bundle for a single activation unit.
+    """Learnable parameters of one activation unit (floats), or of a bank ((U,) arrays).
 
     n_intervals is a structural hyperparameter; everything else is trained
     by gradient.  y_points holds the heights at the n_intervals + 1 grid
-    points that demarcate the segments.
+    points that demarcate the segments, shape (N+1,) or (U, N+1) for a bank.
     """
 
     n_intervals: int
-    left_boundary: float
-    right_boundary: float
+    left_boundary: float | np.ndarray
+    right_boundary: float | np.ndarray
     y_points: np.ndarray
-    left_slope: float
-    right_slope: float
+    left_slope: float | np.ndarray
+    right_slope: float | np.ndarray
 
     def __post_init__(self):
         self.y_points = np.asarray(self.y_points, dtype=np.float64)
-        self.left_boundary = float(self.left_boundary)
-        self.right_boundary = float(self.right_boundary)
-        self.left_slope = float(self.left_slope)
-        self.right_slope = float(self.right_slope)
+        # Only an ndarray makes a bank: a list (say, from a shape file) is still rejected.
+        for name in ("left_boundary", "right_boundary", "left_slope", "right_slope"):
+            v = getattr(self, name)
+            bank = isinstance(v, np.ndarray) and v.ndim > 0
+            setattr(self, name, np.asarray(v, dtype=np.float64) if bank else float(v))
         self.validate()
 
     @property
-    def interval_len(self) -> float:
+    def interval_len(self) -> float | np.ndarray:
         return (self.right_boundary - self.left_boundary) / self.n_intervals
 
     def grid(self) -> np.ndarray:
-        """Demarcation points B_0..B_N (B_0 = left boundary, B_N = right)."""
-        return self.left_boundary + np.arange(self.n_intervals + 1) * self.interval_len
+        """Demarcation points B_0..B_N (B_0 = left boundary, B_N = right), along the last axis."""
+        d = np.asarray(self.interval_len)[..., None]
+        return np.asarray(self.left_boundary)[..., None] + np.arange(self.n_intervals + 1) * d
 
     def validate(self) -> None:
         if self.n_intervals < 1:
             raise DegenerateParameterError(f"n_intervals must be >= 1, got {self.n_intervals}")
-        if self.y_points.shape != (self.n_intervals + 1,):
+        shape = np.shape(self.left_boundary)
+        if self.y_points.shape != shape + (self.n_intervals + 1,):
             raise DegenerateParameterError(
-                f"y_points must have length {self.n_intervals + 1}, "
-                f"got shape {self.y_points.shape}"
+                f"y_points must have shape {shape + (self.n_intervals + 1,)}, "
+                f"got {self.y_points.shape}"
             )
-        width = self.right_boundary - self.left_boundary
-        if not np.isfinite(width) or width < MIN_BOUNDARY_WIDTH:
+        width = np.subtract(self.right_boundary, self.left_boundary)
+        bad = np.flatnonzero(~(np.isfinite(width) & (width >= MIN_BOUNDARY_WIDTH)))
+        if bad.size:
+            u = bad[0]
+            lo, hi = np.ravel(self.left_boundary)[u], np.ravel(self.right_boundary)[u]
+            unit = f"unit {u}: " if shape else ""
             raise DegenerateParameterError(
-                f"boundary interval [{self.left_boundary}, {self.right_boundary}] "
-                f"is degenerate (width {width})"
+                f"{unit}boundary interval [{lo}, {hi}] is degenerate (width {width.ravel()[u]})"
             )
-        values = [self.left_boundary, self.right_boundary, self.left_slope, self.right_slope]
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(self.y_points))):
+        # A finite width implies finite boundaries.
+        values = (self.left_slope, self.right_slope, self.y_points)
+        if not all(np.isfinite(v).all() for v in values):
             raise DegenerateParameterError("parameters contain non-finite values")
 
 
@@ -268,9 +275,10 @@ def forward_fused(x, table: FusedPwluTable) -> np.ndarray:
     return out
 
 
-def init_pwlu_relu(n_intervals: int, half_width: float, center: float = 0.0) -> PwluParams:
+def init_pwlu_relu(n_intervals: int, half_width, center=0.0) -> PwluParams:
     """ReLU-shaped initialization on the interval [center - half_width, center + half_width].
 
+    half_width and center are floats for one unit, or (U,) arrays for a bank.
     Requires an even segment count so that with center 0, 0 falls exactly on a
     grid point, which makes the initialized unit reproduce max(x, 0) exactly.
     """
@@ -278,15 +286,16 @@ def init_pwlu_relu(n_intervals: int, half_width: float, center: float = 0.0) -> 
         raise DegenerateParameterError(
             f"ReLU initialization needs an even interval count, got {n_intervals}"
         )
-    if not half_width > 0:
+    if not np.all(np.greater(half_width, 0)):
         raise DegenerateParameterError(f"half_width must be positive, got {half_width}")
-    d = 2.0 * half_width / n_intervals
-    grid = (center - half_width) + np.arange(n_intervals + 1) * d
+    left = np.asarray(center - half_width)
+    d = np.asarray(2.0 * half_width / n_intervals)
+    grid = left[..., None] + np.arange(n_intervals + 1) * d[..., None]
     return PwluParams(
         n_intervals=n_intervals,
-        left_boundary=center - half_width,
+        left_boundary=left,
         right_boundary=center + half_width,
         y_points=np.maximum(grid, 0.0),
-        left_slope=0.0,
-        right_slope=1.0,
+        left_slope=np.zeros(left.shape),
+        right_slope=np.ones(left.shape),
     )

@@ -13,7 +13,7 @@ from .errors import DegenerateParameterError, ShapeMismatchError
 from .kernel import (MIN_BOUNDARY_WIDTH, PwluParams, forward_fused, fused_table, init_pwlu_relu,
                      segment_table)
 from .optim import sgd_momentum_step
-from .stats import RESERVOIR_CAPACITY, Reservoir, RunningStats, update_stats
+from .stats import RESERVOIR_CAPACITY, Reservoir, RunningStats, realign_reset, update_stats
 
 
 class Layer:
@@ -179,10 +179,11 @@ class PwluActivation(Layer):
     b_l, b_r, k_l, k_r of shape (U,) and y of shape (U, N+1), with
     velocities v_* of the same shapes and gradients g_* that have them after
     a backward of an unfrozen bank (None before the first one).  `units` is a
-    read-only snapshot of them as PwluParams; `set_unit` writes one unit.
-    So are `running_stats`, with (U,) mean and std, and the U streams of
+    read-only snapshot of them as one-unit PwluParams.  So are
+    `running_stats`, with (U,) mean and std, and the U streams of
     `reservoir`, which share one generator; `stats` is a read-only snapshot
-    of them as RunningStats.
+    of them as RunningStats.  `realign` resets the whole bank from
+    `running_stats` in one array operation.
     """
 
     params = ("b_l", "b_r", "y", "k_l", "k_r")
@@ -197,12 +198,9 @@ class PwluActivation(Layer):
         self.n_channels = n_channels
         self.n_intervals = n_intervals
         self.n_units = n_channels if granularity == "channel" else 1
-        init = init_pwlu_relu(n_intervals, half_width)
-        self.b_l = np.full(self.n_units, init.left_boundary)
-        self.b_r = np.full(self.n_units, init.right_boundary)
-        self.y = np.tile(init.y_points, (self.n_units, 1))
-        self.k_l = np.full(self.n_units, init.left_slope)
-        self.k_r = np.full(self.n_units, init.right_slope)
+        init = init_pwlu_relu(n_intervals, half_width, center=np.zeros(self.n_units))
+        self.b_l, self.b_r, self.y = init.left_boundary, init.right_boundary, init.y_points
+        self.k_l, self.k_r = init.left_slope, init.right_slope
         for p in self.params:
             setattr(self, f"v_{p}", np.zeros_like(getattr(self, p)))
             # None until the first backward pass; step() does nothing before it.
@@ -227,13 +225,16 @@ class PwluActivation(Layer):
         return tuple(RunningStats(mean, std, s.update_count)
                      for mean, std in zip(s.mean.tolist(), s.std.tolist()))
 
-    def set_unit(self, u: int, params: PwluParams) -> None:
-        """Overwrite unit u's parameters; its velocities are kept."""
-        self.b_l[u] = params.left_boundary
-        self.b_r[u] = params.right_boundary
-        self.y[u] = params.y_points
-        self.k_l[u] = params.left_slope
-        self.k_r[u] = params.right_slope
+    def realign(self) -> None:
+        """Reset every unit to ReLU shape on mean -/+ 3 std of its inputs, then unfreeze.
+
+        The whole new bank is built and validated before any of it is written,
+        so an error leaves the layer as it was.  The velocities are kept.
+        """
+        new = realign_reset(self.n_intervals, self.running_stats)
+        self.b_l[:], self.b_r[:], self.y[:] = new.left_boundary, new.right_boundary, new.y_points
+        self.k_l[:], self.k_r[:] = new.left_slope, new.right_slope
+        self.frozen = False
 
     def stop_collecting(self) -> None:
         """End collection and free the reservoir samples; the generator keeps its state."""
@@ -392,8 +393,9 @@ class PwluActivation(Layer):
         index[0] = seg
         np.add(seg, 1, out=index[1])
         bins = self.n_units * (n + 2)
-        g_y = np.bincount(index.ravel(), weights=weights.ravel(),
-                          minlength=bins)[:bins].reshape(-1, n + 2)[:, 1:]
+        # An empty batch's bincount is int64: astype makes it float64 zeros.
+        g_y = np.bincount(index.ravel(), weights=weights.ravel(), minlength=bins)
+        g_y = g_y.astype(np.float64, copy=False)[:bins].reshape(-1, n + 2)[:, 1:]
         g_y[:, 0] += up_l
         g_y[:, n] += up_r
         self.g_y = g_y

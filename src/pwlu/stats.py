@@ -48,42 +48,42 @@ def update_stats(stats: RunningStats, batch, momentum: float = STATS_MOMENTUM) -
     return RunningStats(mean=mean, std=std, update_count=stats.update_count + 1)
 
 
-def realign_reset(params: PwluParams, stats: RunningStats) -> PwluParams:
-    """Reset a unit to ReLU shape on the three-sigma interval of its inputs.
+def realign_reset(n_intervals: int, stats: RunningStats) -> PwluParams:
+    """Reset a unit, or a bank from its (U,) stats, to ReLU shape on the three-sigma interval.
 
     Boundaries become mean +/- 3*std, outer slopes 0 and 1, and the heights
     re-sample max(x, 0) at the new grid, as `init_pwlu_relu` builds them (so
     the interval count must be even).  Dead units (std ~ 0) fall back to a
-    half-width of 0.5 around the mean with a warning instead of erroring.
+    half-width of 0.5 around the mean, with one warning per call, instead of erroring.
     """
     if stats.update_count < 1:
         raise EmptyBatchError("realignment requires at least one statistics update")
-    half = 3.0 * stats.std
-    if stats.std < DEAD_STD_THRESHOLD:
+    dead = np.less(stats.std, DEAD_STD_THRESHOLD)
+    if dead.any():
         logger.warning(
-            "unit input std %.3g is effectively zero; realigning to fixed half-width %.2f",
-            stats.std,
+            "%d unit(s) with input std below %.3g; realigning them to fixed half-width %.2f",
+            np.count_nonzero(dead),
+            DEAD_STD_THRESHOLD,
             DEAD_UNIT_HALF_WIDTH,
         )
-        half = DEAD_UNIT_HALF_WIDTH
-    return init_pwlu_relu(params.n_intervals, half, center=stats.mean)
+    half = np.where(dead, DEAD_UNIT_HALF_WIDTH, 3.0 * stats.std)
+    return init_pwlu_relu(n_intervals, half, center=stats.mean)
 
 
-def compute_iou(interval_a, interval_b) -> float:
-    """Intersection-over-union of two closed intervals (left, right).
+def compute_iou(interval_a, interval_b) -> float | list[float]:
+    """Intersection-over-union of closed intervals (left, right): floats, or (U,) arrays.
 
-    A zero-length union means both intervals are single points: 1.0 if they
-    coincide, 0.0 otherwise.
+    Returns a float, or a list for arrays.  A zero-length union means both
+    intervals are single points: 1.0 if they coincide, 0.0 otherwise.
     """
-    a_lo, a_hi = interval_a
-    b_lo, b_hi = interval_b
-    if a_hi < a_lo or b_hi < b_lo:
+    a_lo, a_hi = (np.asarray(v, dtype=np.float64) for v in interval_a)
+    b_lo, b_hi = (np.asarray(v, dtype=np.float64) for v in interval_b)
+    if np.any(a_hi < a_lo) or np.any(b_hi < b_lo):
         raise ValueError("intervals must satisfy left <= right")
-    inter = max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
+    inter = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
     union = (a_hi - a_lo) + (b_hi - b_lo) - inter
-    if union <= 0.0:
-        return 1.0 if (a_lo, a_hi) == (b_lo, b_hi) else 0.0
-    return inter / union
+    same = np.where((a_lo == b_lo) & (a_hi == b_hi), 1.0, 0.0)
+    return np.divide(inter, union, out=same, where=union > 0.0).tolist()
 
 
 def percentile_interval(samples, lo: float = 0.05, hi: float = 0.95, min_samples: int = 20):
@@ -150,18 +150,6 @@ class AlignmentReport:
     p05: float
     p95: float
     iou: float
-
-    @staticmethod
-    def from_unit(layer_name: str, unit_index: int, params: PwluParams, p05: float, p95: float):
-        return AlignmentReport(
-            layer_name=layer_name,
-            unit_index=unit_index,
-            b_l=params.left_boundary,
-            b_r=params.right_boundary,
-            p05=p05,
-            p95=p95,
-            iou=compute_iou((params.left_boundary, params.right_boundary), (p05, p95)),
-        )
 
 
 def write_alignment_csv(reports, path) -> None:

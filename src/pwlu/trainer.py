@@ -9,7 +9,7 @@ import numpy as np
 from .errors import NonFiniteLossError
 from .layers import Model
 from .optim import TrainSchedule
-from .stats import AlignmentReport, realign_reset
+from .stats import AlignmentReport, compute_iou
 
 
 class Trainer:
@@ -45,8 +45,9 @@ class Trainer:
 
     @staticmethod
     def _alignment_reports(layer, p05, p95) -> list[AlignmentReport]:
-        return [AlignmentReport.from_unit(layer.name, u, params, lo, hi)
-                for u, (params, lo, hi) in enumerate(zip(layer.units, p05, p95))]
+        columns = zip(layer.b_l.tolist(), layer.b_r.tolist(), p05, p95,
+                      compute_iou((layer.b_l, layer.b_r), (p05, p95)))
+        return [AlignmentReport(layer.name, u, *row) for u, row in enumerate(columns)]
 
     def realign_now(self) -> None:
         """Reset every PWLU unit from its running statistics, unfreeze, and end collection."""
@@ -55,9 +56,7 @@ class Trainer:
             # Realignment leaves the samples as they are, so both reports share one sort.
             p05, p95 = layer.reservoir.percentile_interval()
             self.pre_reports += self._alignment_reports(layer, p05, p95)
-            for u, (params, stats) in enumerate(zip(layer.units, layer.stats)):
-                layer.set_unit(u, realign_reset(params, stats))
-            layer.frozen = False
+            layer.realign()
             self.post_reports += self._alignment_reports(layer, p05, p95)
             layer.stop_collecting()
 

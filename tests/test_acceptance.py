@@ -213,7 +213,7 @@ def test_criterion_5_realignment_contract():
         p05, p95 = (q[u] for q in layer.reservoir.percentile_interval())
         pre = layer.units[u]
         pre_ious.append(compute_iou((pre.left_boundary, pre.right_boundary), (p05, p95)))
-        post = realign_reset(pre, layer.stats[u])
+        post = realign_reset(pre.n_intervals, layer.stats[u])
         post_ious.append(compute_iou((post.left_boundary, post.right_boundary), (p05, p95)))
         bounds_ok = bounds_ok and abs(post.left_boundary - 2.0) <= 0.2 \
             and abs(post.right_boundary - 8.0) <= 0.2

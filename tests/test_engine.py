@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import struct
 
 import numpy as np
@@ -17,7 +18,7 @@ from pwlu.errors import (
     PwluError,
     ShapeMismatchError,
 )
-from pwlu.kernel import (PwluParams, build_fused, forward_fused, forward_reference, init_pwlu_relu,
+from pwlu.kernel import (build_fused, forward_fused, forward_reference, init_pwlu_relu,
                          segment_table)
 from pwlu.kernel import backward as kernel_backward
 from pwlu.layers import (
@@ -29,7 +30,8 @@ from pwlu.layers import (
     softmax_xent_forward,
 )
 from pwlu.optim import TrainSchedule, sgd_momentum_step
-from pwlu.stats import Reservoir, RunningStats, update_stats
+from pwlu.stats import (DEAD_STD_THRESHOLD, Reservoir, RunningStats, realign_reset,
+                        update_stats)
 from pwlu.trainer import Trainer
 
 
@@ -194,8 +196,9 @@ def banks(draw):
     for u in range(layer.n_units):
         b_l = draw(floats)
         b_r = b_l + draw(st.floats(0.01, 8.0))
-        y = draw(st.lists(floats, min_size=n + 1, max_size=n + 1))
-        layer.set_unit(u, PwluParams(n, b_l, b_r, np.array(y), draw(floats), draw(floats)))
+        layer.b_l[u], layer.b_r[u] = b_l, b_r
+        layer.y[u] = draw(st.lists(floats, min_size=n + 1, max_size=n + 1))
+        layer.k_l[u], layer.k_r[u] = draw(floats), draw(floats)
     values = []
     for p in layer.units:
         extra = draw(st.lists(st.floats(p.left_boundary - 2.0, p.right_boundary + 2.0),
@@ -321,6 +324,45 @@ class TestPwluBank:
         for a, b in zip(*got):
             np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
+    @settings(deadline=None, max_examples=60)
+    @given(banks(), st.data())
+    def test_realign_matches_per_unit_reset(self, bank, data):
+        layer, _, _ = bank
+        # std 0, tiny stds on both sides of the dead-unit threshold, and ordinary ones
+        std = st.one_of(st.sampled_from([0.0, 1e-300, 5e-9, 1e-8, 2e-8]), st.floats(0.0, 5.0))
+        means = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=layer.n_units,
+                                   max_size=layer.n_units))
+        stds = data.draw(st.lists(std, min_size=layer.n_units, max_size=layer.n_units))
+        layer.running_stats = RunningStats(np.array(means), np.array(stds), update_count=1)
+        layer.frozen = True
+        warnings = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = warnings.append
+        logging.getLogger("pwlu.stats").addHandler(handler)
+        try:
+            layer.realign()
+        finally:
+            logging.getLogger("pwlu.stats").removeHandler(handler)
+        assert not layer.frozen
+        assert len(warnings) == (1 if min(stds) < DEAD_STD_THRESHOLD else 0)
+        bits = lambda v: np.asarray(v, dtype=np.float64).view(np.uint64)
+        for u, stats in enumerate(layer.stats):
+            want = realign_reset(layer.n_intervals, stats)
+            for got, field in ((layer.b_l, "left_boundary"), (layer.b_r, "right_boundary"),
+                               (layer.k_l, "left_slope"), (layer.k_r, "right_slope"),
+                               (layer.y, "y_points")):
+                np.testing.assert_array_equal(bits(got[u]), bits(getattr(want, field)))
+
+    def test_empty_batch_backward_gives_zero_gradients(self):
+        layer = PwluActivation(3, 4)
+        layer.forward(np.zeros((0, 3)))
+        grad_in = layer.backward(np.zeros((0, 3)))
+        assert grad_in.shape == (0, 3)
+        for p in layer.params:
+            g = getattr(layer, f"g_{p}")
+            assert g.dtype == np.float64 and g.shape == getattr(layer, p).shape
+            assert not g.any()
+
     @pytest.mark.parametrize("method", ["forward", "infer"])
     def test_wrong_channel_count_rejected(self, method):
         layer = PwluActivation(3, n_intervals=4)
@@ -329,19 +371,12 @@ class TestPwluBank:
 
     @settings(deadline=None, max_examples=30)
     @given(banks())
-    def test_units_read_only_and_set_unit_round_trips(self, bank):
+    def test_units_read_only(self, bank):
         layer, _, _ = bank
         with pytest.raises(TypeError):
             layer.units[0] = layer.units[0]
         layer.units[0].y_points[:] = 99.0  # a snapshot, not a view of the bank
         assert not np.any(layer.y[0] == 99.0)
-        want = layer.units[::-1]
-        for u, p in enumerate(want):
-            layer.set_unit(u, p)
-        for got, p in zip(layer.units, want):
-            assert (got.left_boundary, got.right_boundary, got.left_slope, got.right_slope) \
-                == (p.left_boundary, p.right_boundary, p.left_slope, p.right_slope)
-            np.testing.assert_array_equal(got.y_points, p.y_points)
 
     @settings(deadline=None, max_examples=30)
     @given(st.sampled_from(["channel", "layer"]), st.integers(1, 5),
@@ -465,6 +500,26 @@ class TestTwoPhaseTraining:
         for p, before in realigned[0].items():
             assert not np.array_equal(getattr(layer, p), before), p
 
+    def test_failed_realign_leaves_every_layer_untouched(self):
+        x, labels = tiny_problem(seed=6)
+        model = build_mlp([2, 4, 2], "pwlu", np.random.default_rng(6),
+                          n_intervals=4, pwlu_frozen=True, pwlu_collecting=True)
+        sched = TrainSchedule(total_iterations=20, realign_iteration=10, base_lr=0.1, seed=6)
+        trainer = Trainer(model, sched, x, labels, batch_size=16)
+        while trainer.t < sched.realign_iteration:
+            trainer.step()
+        layer = model.pwlu_layers()[0]
+        mean = layer.running_stats.mean.copy()
+        mean[1] = np.nan  # unit 0 is valid, so a per-unit loop would reset it first
+        layer.running_stats = RunningStats(mean, layer.running_stats.std,
+                                           layer.running_stats.update_count)
+        before = {p: getattr(layer, p).copy() for p in layer.params}
+        with pytest.raises(DegenerateParameterError):
+            trainer.realign_now()
+        for p, want in before.items():
+            np.testing.assert_array_equal(getattr(layer, p), want)
+        assert layer.frozen and layer.collecting
+
     def test_realign_targets_input_distribution(self):
         # one frozen PWLU bank fed N(5,1) while boundaries start at [-3,3]
         rng = np.random.default_rng(0)
@@ -478,7 +533,7 @@ class TestTwoPhaseTraining:
             pre = layer.units[u]
             p05, p95 = (q[u] for q in layer.reservoir.percentile_interval())
             pre_iou = compute_iou((pre.left_boundary, pre.right_boundary), (p05, p95))
-            post = realign_reset(pre, layer.stats[u])
+            post = realign_reset(pre.n_intervals, layer.stats[u])
             post_iou = compute_iou((post.left_boundary, post.right_boundary), (p05, p95))
             assert abs(post.left_boundary - 2.0) < 0.2
             assert abs(post.right_boundary - 8.0) < 0.2
@@ -495,7 +550,7 @@ class TestTwoPhaseTraining:
             for u, p in enumerate(layer.units):
                 from pwlu.stats import realign_reset
 
-                want = realign_reset(init_pwlu_relu(4, 3.0), layer.stats[u])
+                want = realign_reset(init_pwlu_relu(4, 3.0).n_intervals, layer.stats[u])
                 assert p.left_boundary == want.left_boundary
                 assert p.right_boundary == want.right_boundary
                 np.testing.assert_array_equal(p.y_points, want.y_points)

@@ -54,7 +54,7 @@ class TestUpdateStats:
 class TestRealignReset:
     def test_three_sigma_boundaries(self):
         p = init_pwlu_relu(16, 3.0)
-        out = realign_reset(p, RunningStats(mean=2.0, std=0.5, update_count=10))
+        out = realign_reset(p.n_intervals, RunningStats(mean=2.0, std=0.5, update_count=10))
         assert out.left_boundary == pytest.approx(0.5)
         assert out.right_boundary == pytest.approx(3.5)
         np.testing.assert_allclose(out.y_points, np.maximum(out.grid(), 0.0))
@@ -62,13 +62,13 @@ class TestRealignReset:
 
     def test_small_case(self):
         p = init_pwlu_relu(2, 1.0)
-        out = realign_reset(p, RunningStats(mean=0.0, std=1.0, update_count=1))
+        out = realign_reset(p.n_intervals, RunningStats(mean=0.0, std=1.0, update_count=1))
         assert (out.left_boundary, out.right_boundary) == (-3.0, 3.0)
         np.testing.assert_allclose(out.y_points, [0.0, 0.0, 3.0])
 
     def test_relu_gap_bounded_by_quarter_interval(self):
         p = init_pwlu_relu(8, 1.0)
-        out = realign_reset(p, RunningStats(mean=0.7, std=0.9, update_count=5))
+        out = realign_reset(p.n_intervals, RunningStats(mean=0.7, std=0.9, update_count=5))
         d = out.interval_len
         xs = np.linspace(out.left_boundary, out.right_boundary, 20_001)
         dev = np.abs(forward_reference(xs, out) - np.maximum(xs, 0.0))
@@ -82,12 +82,12 @@ class TestRealignReset:
     def test_requires_updates(self):
         p = init_pwlu_relu(4, 1.0)
         with pytest.raises(EmptyBatchError):
-            realign_reset(p, RunningStats())
+            realign_reset(p.n_intervals, RunningStats())
 
     def test_dead_unit_fallback(self, caplog):
         p = init_pwlu_relu(4, 1.0)
         with caplog.at_level("WARNING"):
-            out = realign_reset(p, RunningStats(mean=2.0, std=0.0, update_count=3))
+            out = realign_reset(p.n_intervals, RunningStats(mean=2.0, std=0.0, update_count=3))
         assert out.left_boundary == pytest.approx(1.5)
         assert out.right_boundary == pytest.approx(2.5)
         assert any("half-width" in r.message for r in caplog.records)
@@ -96,13 +96,13 @@ class TestRealignReset:
         # the reset builds its unit as init_pwlu_relu does, which needs an even N
         p = PwluParams(3, -1.0, 1.0, np.zeros(4), 0.0, 1.0)
         with pytest.raises(DegenerateParameterError):
-            realign_reset(p, RunningStats(mean=0.0, std=1.0, update_count=1))
+            realign_reset(p.n_intervals, RunningStats(mean=0.0, std=1.0, update_count=1))
 
     def test_idempotent_under_frozen_stats(self):
         p = init_pwlu_relu(8, 3.0)
         s = RunningStats(mean=-1.2, std=0.8, update_count=7)
-        once = realign_reset(p, s)
-        twice = realign_reset(once, s)
+        once = realign_reset(p.n_intervals, s)
+        twice = realign_reset(once.n_intervals, s)
         assert once.left_boundary == twice.left_boundary
         assert once.right_boundary == twice.right_boundary
         np.testing.assert_array_equal(once.y_points, twice.y_points)
@@ -125,6 +125,30 @@ class TestComputeIou:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             compute_iou((2.0, 1.0), (0.0, 1.0))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10),
+                              st.floats(-10, 10),
+                              st.sampled_from(["any", "same", "points", "same point"])),
+                    min_size=1, max_size=8))
+    def test_array_matches_scalar(self, rows):
+        pairs = []
+        for a0, a1, b0, b1, kind in rows:
+            a, b = (min(a0, a1), max(a0, a1)), (min(b0, b1), max(b0, b1))
+            if kind == "same":
+                b = a
+            elif kind == "points":
+                a, b = (a0, a0), (b0, b0)
+            elif kind == "same point":
+                a = b = (a0, a0)
+            pairs.append((a, b))
+        (a_lo, a_hi), (b_lo, b_hi) = (np.array(side).T for side in zip(*pairs))
+        got = compute_iou((a_lo, a_hi), (b_lo, b_hi))
+        assert type(got) is list
+        want = [compute_iou(a, b) for a, b in pairs]
+        assert all(type(w) is float for w in want)
+        np.testing.assert_array_equal(np.array(got).view(np.uint64),
+                                      np.array(want).view(np.uint64))
 
     @settings(deadline=None, max_examples=100)
     @given(
@@ -230,7 +254,7 @@ class TestRealignIouExpectation:
             batch = rng.normal(mu, sigma, size=128)
             s = update_stats(s, batch)
             r.extend(batch)
-        out = realign_reset(p, s)
+        out = realign_reset(p.n_intervals, s)
         p05, p95 = r.percentile_interval()
         iou = compute_iou((out.left_boundary, out.right_boundary), (p05, p95))
         # exact-Gaussian value is 1.645/3 ~ 0.548
@@ -241,7 +265,8 @@ def test_alignment_report_csv(tmp_path):
     from pwlu.stats import write_alignment_csv
 
     p = init_pwlu_relu(4, 2.0)
-    rep = AlignmentReport.from_unit("pwlu0", 3, p, -1.0, 1.0)
+    bounds = (p.left_boundary, p.right_boundary)
+    rep = AlignmentReport("pwlu0", 3, *bounds, -1.0, 1.0, compute_iou(bounds, (-1.0, 1.0)))
     assert rep.iou == pytest.approx(0.5)
     path = tmp_path / "align.csv"
     write_alignment_csv([rep], path)
