@@ -13,8 +13,10 @@ recorded metric rows) and a layer manifest.  Each manifest entry lists its
 arrays as (name, shape) pairs; the binary tail stores those arrays in
 manifest order, row-major: a layer's `params`, whole, then their velocities
 `v_<param>`, and for a PWLU bank its running `mean` and `std` and its
-`reservoir` samples (zero-width once collection has ended).  Saving,
-loading, and saving again yields a byte-identical file.
+`reservoir` samples (zero-width once collection has ended).  A bank's `theta`
+and `v_theta` have shape (N+5, U): rows B_L, B_R, K_L, K_R, then the N+1
+heights.  Saving, loading, and saving again yields a byte-identical file.
+Versions before 4, which stored each bank field as its own array, are rejected.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ import numpy as np
 from .errors import CheckpointError
 from .layers import Conv2d, Dense, Model, PwluActivation, Relu, Swish
 from .optim import TrainSchedule
-from .stats import RunningStats
 from .trainer import Trainer
 
 MAGIC = b"PWLUCKP1"
-VERSION = 3
+VERSION = 4
 
 # What each typed header field must hold; `type(v) is int` leaves out bool.
 _SCALARS = {
@@ -55,12 +56,18 @@ def _scalar(record, key, kind):
     return record[key]
 
 
-# Header fields read back into a trainer, its schedule and a PWLU bank, each with its kind.
+# Header fields read back into a trainer, its schedule and each layer type, each with its kind.
 _TRAINER = {"t": "count", "epoch_loss_sum": "number", "epoch_loss_count": "count",
             "metrics": "rows"}
 _SCHEDULE = {name: {int: "count", float: "number"}[kind]
              for name, kind in typing.get_type_hints(TrainSchedule).items()}
+_DENSE = {"in_dim": "size", "out_dim": "size"}
+_CONV = {"in_ch": "size", "out_ch": "size", "ksize": "size", "padding": "count"}
 _PWLU = {"n_channels": "size", "n_intervals": "size", "frozen": "flag", "collecting": "flag"}
+
+
+def _fields(meta, table):
+    return {key: _scalar(meta, key, kind) for key, kind in table.items()}
 
 
 def _layer_manifest(layer):
@@ -100,31 +107,28 @@ def _rebuild_layer(meta, arrays):
     dummy_rng = np.random.default_rng(0)
     kind = meta["type"]
     if kind == "dense":
-        layer = Dense(meta["in_dim"], meta["out_dim"], dummy_rng, name=meta["name"])
+        layer = Dense(rng=dummy_rng, name=meta["name"], **_fields(meta, _DENSE))
     elif kind == "conv":
-        layer = Conv2d(meta["in_ch"], meta["out_ch"], meta["ksize"], dummy_rng,
-                       padding=meta["padding"], name=meta["name"])
+        layer = Conv2d(rng=dummy_rng, name=meta["name"], **_fields(meta, _CONV))
     elif kind == "relu":
         layer = Relu(name=meta["name"])
     elif kind == "swish":
         layer = Swish(name=meta["name"])
     elif kind == "pwlu":
         layer = PwluActivation(granularity=meta["granularity"], name=meta["name"],
-                               **{key: _scalar(meta, key, k) for key, k in _PWLU.items()})
+                               **_fields(meta, _PWLU))
     else:
         raise CheckpointError(f"unknown layer type {kind!r} in checkpoint")
-    if meta["arrays"] != _layer_manifest(layer)[0]["arrays"]:
+    own_meta, own_arrays = _layer_manifest(layer)
+    if meta["arrays"] != own_meta["arrays"]:
         raise CheckpointError(f"layer {meta['name']!r}: stored arrays do not fit a {kind} layer")
-
-    named = {name: arr for (name, _), arr in zip(meta["arrays"], arrays)}
-    for p in layer.params:
-        setattr(layer, p, named[p])
-        setattr(layer, f"v_{p}", named[f"v_{p}"])
+    # Copied in, not rebound: a PWLU bank's field attributes are views of its theta.
+    for (_, own), stored in zip(own_arrays, arrays):
+        own[...] = stored
     if kind == "pwlu":
         layer.check_params()
-        layer.running_stats = RunningStats(named["mean"], named["std"],
-                                           _scalar(meta, "stats_count", "count"))
-        layer.reservoir.buffer = named["reservoir"]
+        layer.running_stats = dataclasses.replace(
+            layer.running_stats, update_count=_scalar(meta, "stats_count", "count"))
         layer.reservoir.seen = _scalar(meta, "reservoir_seen", "count")
         layer.reservoir.rng.bit_generator.state = meta["reservoir_rng"]
     return layer
@@ -188,7 +192,7 @@ def _read_checkpoint(path):
                 if offset + 8 * count > len(raw):
                     raise CheckpointError(f"checkpoint {path} is truncated")
                 arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-                arrays.append(arr.reshape(shape).copy())
+                arrays.append(arr.reshape(shape))  # a read-only view, copied into the layer
                 offset += 8 * count
             layers.append(_rebuild_layer(meta, arrays))
         if offset != len(raw):

@@ -9,8 +9,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (BadMagicError, CountMismatchError, IdxFormatError, ShapeFileError,
-                     TruncatedPayloadError)
+from .errors import (BadMagicError, CountMismatchError, DegenerateParameterError, IdxFormatError,
+                     ShapeFileError, TruncatedPayloadError)
 from .kernel import PwluParams, forward_reference
 from .layers import Model
 
@@ -156,5 +156,5 @@ def load_shape_params(json_path: str) -> list[tuple[str, int, PwluParams]]:
         if type(entries) is not list or not all(type(e) is dict for e in entries):
             raise ShapeFileError(f"shape file {json_path} does not hold a list of objects")
         return [(e.pop("layer"), e.pop("unit"), PwluParams(**e)) for e in entries]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, DegenerateParameterError) as exc:
         raise ShapeFileError(f"bad shape file {json_path}: {type(exc).__name__}: {exc}") from exc

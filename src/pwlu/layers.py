@@ -164,29 +164,35 @@ class Swish(Layer):
         return grad_out * (s + self._x * s * (1.0 - s))
 
 
+def bank_views(theta: np.ndarray):
+    """Views b_l, b_r, k_l, k_r of shape (U,) and y of shape (U, N+1) of an (N+5, U) bank array."""
+    # Rows, not columns: the math over (elements, U) columns is faster on contiguous (U,) views.
+    return theta[0], theta[1], theta[2], theta[3], theta[4:].T
+
+
 class PwluActivation(Layer):
     """A bank of piecewise linear units with running input statistics.
 
     granularity "channel" keeps one unit per channel (axis 1 of the input);
     "layer" shares a single unit across the whole tensor.  While `frozen`,
     backward computes only the input gradient, which still flows to earlier
-    layers, and sets every g_* to None, so the optimizer step leaves the unit
+    layers, and sets g_theta to None, so the optimizer step leaves the unit
     parameters untouched.  While `collecting`, each training forward
     updates the running mean/std and the reservoir sample of every unit;
     `stop_collecting` ends that and frees the samples.
 
-    The parameters of all units are stored once, as arrays over units:
-    b_l, b_r, k_l, k_r of shape (U,) and y of shape (U, N+1), with
-    velocities v_* of the same shapes and gradients g_* that have them after
-    a backward of an unfrozen bank (None before the first one).  `units` is a
-    read-only snapshot of them as one-unit PwluParams.  So are
-    `running_stats`, with (U,) mean and std, and the U streams of
-    `reservoir`, which share one generator; `stats` is a read-only snapshot
-    of them as RunningStats.  `realign` resets the whole bank from
-    `running_stats` in one array operation.
+    The parameters of all units are stored once, in one (N+5, U) array
+    `theta`; b_l, b_r, k_l, k_r (U,) and y (U, N+1) are views of it
+    (`bank_views`), written in place, never rebound.  `v_theta` and `g_theta`
+    share its layout; `g_theta` is None until an unfrozen backward.  `units`
+    is a read-only snapshot of the parameters as one-unit PwluParams.  The
+    statistics are over units too: `running_stats`, with (U,) mean and std,
+    and the U streams of `reservoir`, which share one generator; `stats` is
+    a read-only snapshot of them as RunningStats.  `realign` resets the whole
+    bank from `running_stats` in one array operation.
     """
 
-    params = ("b_l", "b_r", "y", "k_l", "k_r")
+    params = ("theta",)
 
     def __init__(self, n_channels: int, n_intervals: int = 16, granularity: str = "channel",
                  half_width: float = 3.0, frozen: bool = False, collecting: bool = False,
@@ -198,13 +204,11 @@ class PwluActivation(Layer):
         self.n_channels = n_channels
         self.n_intervals = n_intervals
         self.n_units = n_channels if granularity == "channel" else 1
-        init = init_pwlu_relu(n_intervals, half_width, center=np.zeros(self.n_units))
-        self.b_l, self.b_r, self.y = init.left_boundary, init.right_boundary, init.y_points
-        self.k_l, self.k_r = init.left_slope, init.right_slope
-        for p in self.params:
-            setattr(self, f"v_{p}", np.zeros_like(getattr(self, p)))
-            # None until the first backward pass; step() does nothing before it.
-            setattr(self, f"g_{p}", None)
+        self.theta = np.empty((n_intervals + 5, self.n_units))
+        self.b_l, self.b_r, self.k_l, self.k_r, self.y = bank_views(self.theta)
+        self._write(init_pwlu_relu(n_intervals, half_width, center=np.zeros(self.n_units)))
+        self.v_theta = np.zeros_like(self.theta)
+        self.g_theta = None
         self.running_stats = RunningStats(np.zeros(self.n_units), np.ones(self.n_units))
         self.reservoir = Reservoir(RESERVOIR_CAPACITY if collecting else 0,
                                    seed=seed * 100003, streams=self.n_units)
@@ -231,10 +235,12 @@ class PwluActivation(Layer):
         The whole new bank is built and validated before any of it is written,
         so an error leaves the layer as it was.  The velocities are kept.
         """
-        new = realign_reset(self.n_intervals, self.running_stats)
+        self._write(realign_reset(self.n_intervals, self.running_stats))
+        self.frozen = False
+
+    def _write(self, new: PwluParams) -> None:
         self.b_l[:], self.b_r[:], self.y[:] = new.left_boundary, new.right_boundary, new.y_points
         self.k_l[:], self.k_r[:] = new.left_slope, new.right_slope
-        self.frozen = False
 
     def stop_collecting(self) -> None:
         """End collection and free the reservoir samples; the generator keeps its state."""
@@ -245,9 +251,9 @@ class PwluActivation(Layer):
     def check_params(self) -> None:
         """Raise DegenerateParameterError for a non-finite parameter or a collapsed interval."""
         width = self.b_r - self.b_l
-        # A finite width implies finite boundaries.
-        finite = all(np.isfinite(a).all() for a in (width, self.y, self.k_l, self.k_r))
-        if not finite or (width < MIN_BOUNDARY_WIDTH).any():
+        # Finite boundaries can still be an infinite width apart.
+        if not (np.isfinite(self.theta).all()
+                and ((width >= MIN_BOUNDARY_WIDTH) & (width < np.inf)).all()):
             raise DegenerateParameterError(
                 f"{self.name}: non-finite parameters or a collapsed boundary interval"
             )
@@ -323,16 +329,13 @@ class PwluActivation(Layer):
         edges, slopes, _ = segment_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r)
         grad_in = slopes.take(seg)
         grad_in *= up  # up * slope bit for bit: multiplication commutes
-        if self.frozen:
-            # step() reads no gradient while frozen, so none is computed or kept.
-            for p in self.params:
-                setattr(self, f"g_{p}", None)
-        else:
-            self._param_grads(xc, up, grad_in, edges.take(seg), seg, left, right)
+        # step() reads no gradient while frozen, so none is computed or kept.
+        self.g_theta = None if self.frozen else self._param_grads(
+            xc, up, grad_in, edges.take(seg), seg, left, right)
         return self._from_columns(grad_in, grad_out)
 
     def _param_grads(self, xc, up, grad_in, edge, seg, left, right):
-        """Set every g_* from the columns of one backward; edge is each element's left edge.
+        """The g_theta of one backward's columns; edge is each element's left edge.
 
         Each quantity is built in place in a few reused buffers, in the
         operation order of the expression in its comment, so it has that
@@ -371,18 +374,20 @@ class PwluActivation(Layer):
             np.put(values, outside_at, 0.0)
             return values.sum(axis=0)
 
+        g_theta = np.empty_like(self.theta)
+        g_b_l, g_b_r, g_k_l, g_k_r, g_y = bank_views(g_theta)
         up_l, up_r = region_sum(up, left_at), region_sum(up, right_at)
-        self.g_k_l = region_sum(moment, left_at)
-        self.g_k_r = region_sum(moment, right_at)
+        g_k_l[:] = region_sum(moment, left_at)
+        g_k_r[:] = region_sum(moment, right_at)
         # grad_in * (xc - b_r) / width and grad_in * (b_l - xc) / width in the interval
         np.subtract(xc, b_r, out=scratch)
         scratch *= grad_in
         scratch /= width
-        self.g_b_l = (-self.k_l) * up_l + mid_sum(scratch)
+        g_b_l[:] = (-self.k_l) * up_l + mid_sum(scratch)
         np.subtract(b_l, xc, out=scratch)
         scratch *= grad_in
         scratch /= width
-        self.g_b_r = (-self.k_r) * up_r + mid_sum(scratch)
+        g_b_r[:] = (-self.k_r) * up_r + mid_sum(scratch)
 
         # Height j of unit u is bin u*(N+2) + j + 1: an element's lower height is
         # its table index, its upper height the next (outer elements add zeros).
@@ -393,17 +398,16 @@ class PwluActivation(Layer):
         index[0] = seg
         np.add(seg, 1, out=index[1])
         bins = self.n_units * (n + 2)
-        # An empty batch's bincount is int64: astype makes it float64 zeros.
-        g_y = np.bincount(index.ravel(), weights=weights.ravel(), minlength=bins)
-        g_y = g_y.astype(np.float64, copy=False)[:bins].reshape(-1, n + 2)[:, 1:]
+        g_y[:] = np.bincount(index.ravel(), weights=weights.ravel(),
+                             minlength=bins)[:bins].reshape(-1, n + 2)[:, 1:]
         g_y[:, 0] += up_l
         g_y[:, n] += up_r
-        self.g_y = g_y
+        return g_theta
 
     def step(self, lr, momentum, weight_decay):
         # Unit parameters never receive weight decay; decaying the heights
         # would bias every learned shape toward the zero function.
-        if self.frozen or self.g_y is None:
+        if self.frozen or self.g_theta is None:
             return
         super().step(lr, momentum, 0.0)
         # Keep the interval from collapsing under a large boundary step;

@@ -188,8 +188,9 @@ class TestExport:
         lambda raw: raw[:-9],                       # truncated tail
         lambda raw: raw + b"\0" * 8,                # trailing bytes
         lambda raw: raw[:20] + b"\xff" + raw[21:],  # header is not UTF-8 JSON
-        lambda raw: raw.replace(b'"version": 3', b'"version": 1'),  # v1 is not read
-        lambda raw: raw.replace(b'"version": 3', b'"version": 2'),  # nor is v2
+        lambda raw: raw.replace(b'"version": 4', b'"version": 1'),  # v1 is not read
+        lambda raw: raw.replace(b'"version": 4', b'"version": 2'),  # nor is v2
+        lambda raw: raw.replace(b'"version": 4', b'"version": 3'),  # nor is v3
     ])
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, capsys, corrupt):
         _, run = run_train(tmp_path)
@@ -256,13 +257,18 @@ class TestConfigFile:
         ])
 
 
+def run_python(*args, cwd=None):
+    """Run a fresh interpreter that imports this checkout's package."""
+    src = str(Path(pwlu.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, cwd=cwd,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestModuleEntryPoint:
     @staticmethod
     def python_m_pwlu(*args):
-        src = str(Path(pwlu.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "pwlu", *args], capture_output=True,
-                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        return run_python("-m", "pwlu", *args)
 
     def test_help_exits_zero(self):
         proc = self.python_m_pwlu("--help")
@@ -273,3 +279,10 @@ class TestModuleEntryPoint:
         proc = self.python_m_pwlu("train", "--epochs", "-1")
         assert proc.returncode == 2
         assert "field=epochs" in proc.stderr
+
+
+# fused_bench.py is left out: it is a timing loop over kernel functions, with no result to check.
+@pytest.mark.parametrize("demo", ["shape_gallery.py", "train_spirals.py"])
+def test_demo_runs(tmp_path, demo):
+    proc = run_python(str(Path(__file__).resolve().parents[1] / "demos" / demo), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

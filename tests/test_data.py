@@ -199,7 +199,9 @@ class TestShapeExport:
         lambda path: path.write_text("not json"),
         lambda path: path.write_text('{"layer": "pwlu1", "unit": 0}'),
         lambda path: path.unlink(),
-    ], ids=["missing_field", "not_json", "top_level_object", "missing_file"])
+        lambda path: path.write_text(json.dumps(
+            [{**e, "y_points": e["y_points"][:-1]} for e in json.loads(path.read_text())])),
+    ], ids=["missing_field", "not_json", "top_level_object", "missing_file", "short_y_points"])
     def test_malformed_sidecar_rejected(self, tmp_path, corrupt):
         json_path = tmp_path / "s.json"
         export_shapes(self.make_model(), str(tmp_path / "s.csv"), str(json_path))

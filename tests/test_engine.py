@@ -26,6 +26,7 @@ from pwlu.layers import (
     Dense,
     PwluActivation,
     Swish,
+    bank_views,
     build_mlp,
     softmax_xent_forward,
 )
@@ -259,11 +260,12 @@ class TestPwluBank:
             scale *= 1.0 + np.max(np.abs(np.concatenate(
                 [np.diff(p.y_points) / p.interval_len, [p.left_slope, p.right_slope]])))
             tol = dict(rtol=1e-12, atol=1e-12 * scale)
-            np.testing.assert_allclose(layer.g_b_l[u], want.left_boundary, **tol)
-            np.testing.assert_allclose(layer.g_b_r[u], want.right_boundary, **tol)
-            np.testing.assert_allclose(layer.g_k_l[u], want.left_slope, **tol)
-            np.testing.assert_allclose(layer.g_k_r[u], want.right_slope, **tol)
-            np.testing.assert_allclose(layer.g_y[u], want.y_points, **tol)
+            g_b_l, g_b_r, g_k_l, g_k_r, g_y = bank_views(layer.g_theta)
+            np.testing.assert_allclose(g_b_l[u], want.left_boundary, **tol)
+            np.testing.assert_allclose(g_b_r[u], want.right_boundary, **tol)
+            np.testing.assert_allclose(g_k_l[u], want.left_slope, **tol)
+            np.testing.assert_allclose(g_k_r[u], want.right_slope, **tol)
+            np.testing.assert_allclose(g_y[u], want.y_points, **tol)
 
     @settings(deadline=None, max_examples=60)
     @given(banks())
@@ -352,6 +354,20 @@ class TestPwluBank:
                                (layer.k_l, "left_slope"), (layer.k_r, "right_slope"),
                                (layer.y, "y_points")):
                 np.testing.assert_array_equal(bits(got[u]), bits(getattr(want, field)))
+
+    def test_trained_step_is_one_optimizer_call(self, monkeypatch):
+        layer = PwluActivation(4, n_intervals=4)
+        layer.forward(np.linspace(-4.0, 4.0, 20).reshape(5, 4))
+        layer.backward(np.ones((5, 4)))
+        calls = []
+
+        def counted(param, *args):
+            calls.append(param)
+            sgd_momentum_step(param, *args)
+
+        monkeypatch.setattr("pwlu.layers.sgd_momentum_step", counted)
+        layer.step(0.1, 0.9, 0.0)
+        assert len(calls) == 1 and calls[0] is layer.theta
 
     def test_empty_batch_backward_gives_zero_gradients(self):
         layer = PwluActivation(3, 4)
@@ -487,7 +503,7 @@ class TestTwoPhaseTraining:
         layer = model.pwlu_layers()[0]
         while trainer.t < sched.realign_iteration:
             trainer.step()
-        assert layer.frozen and layer.g_y is None
+        assert layer.frozen and layer.g_theta is None
         realign, realigned = trainer.realign_now, []
 
         def realign_and_keep():
@@ -626,6 +642,7 @@ class TestEndToEndGradients:
         h = 1e-5
         checked = 0
         for layer in model.pwlu_layers():
+            grads = dict(zip(("b_l", "b_r", "k_l", "k_r", "y"), bank_views(layer.g_theta)))
             for u in range(min(3, layer.n_units)):
                 for field in ("b_l", "b_r", "k_l", "k_r"):
                     values = getattr(layer, field)
@@ -636,7 +653,7 @@ class TestEndToEndGradients:
                     dn = loss_value()
                     values[u] = orig
                     fd = (up - dn) / (2 * h)
-                    analytic = getattr(layer, f"g_{field}")[u]
+                    analytic = grads[field][u]
                     assert abs(analytic - fd) <= max(1e-3 * abs(fd), 1e-6), (field, analytic, fd)
                     checked += 1
                 for j in range(layer.n_intervals + 1):
@@ -647,7 +664,7 @@ class TestEndToEndGradients:
                     dn = loss_value()
                     layer.y[u, j] = orig
                     fd = (up - dn) / (2 * h)
-                    analytic = layer.g_y[u, j]
+                    analytic = grads["y"][u, j]
                     assert abs(analytic - fd) <= max(1e-3 * abs(fd), 1e-6), (j, analytic, fd)
                     checked += 1
         assert checked > 20
@@ -738,6 +755,8 @@ class TestCheckpoint:
         ("trainer", "metrics", "x"),
         pytest.param("trainer", "metrics", [1], id="trainer-metrics-list_of_int"),
         ("bank", "reservoir_rng", "v2_list"),  # one state per unit, as v2 stored
+        ("dense", "in_dim", 0),
+        ("dense", "out_dim", True),
     ])
     def test_header_fields_checked(self, tmp_path, where, field, value):
         # a corrupt header scalar fails on load, naming the field, not at a later step
@@ -752,6 +771,8 @@ class TestCheckpoint:
         record = header
         if where == "bank":
             record = next(meta for meta in header["layers"] if meta["type"] == "pwlu")
+        elif where == "dense":
+            record = next(meta for meta in header["layers"] if meta["type"] == "dense")
         elif where == "schedule":
             record = header["schedule"]
         if value == "v2_list":
@@ -762,10 +783,41 @@ class TestCheckpoint:
         # the generator's state setter rejects a list; the loader reports it as corrupt
         match = "corrupt" if field == "reservoir_rng" else field
         with pytest.raises(CheckpointError, match=match):
-            if where == "bank":
+            if where in ("bank", "dense"):
                 load_model(path)
             else:
                 load_checkpoint(path, trainer.train_features, trainer.train_labels)
+
+    def test_bank_fields_stay_views_of_theta(self, tmp_path):
+        def assert_views(layer):
+            # writing a field through its attribute must write that part of theta
+            saved = layer.theta.copy()
+            names = ("b_l", "b_r", "k_l", "k_r", "y")
+            for i, (name, want) in enumerate(zip(names, bank_views(layer.theta))):
+                field = getattr(layer, name)
+                field[...] = np.arange(field.size).reshape(field.shape) + 100.0 * i
+                np.testing.assert_array_equal(want, field, err_msg=name)
+            layer.theta[...] = saved
+
+        layer = PwluActivation(3, n_intervals=4, frozen=True, collecting=True)
+        assert_views(layer)
+        x = np.random.default_rng(0).normal(size=(16, 3))
+        layer.forward(x, training=True)
+        layer.realign()
+        assert_views(layer)
+        layer.forward(x)
+        layer.backward(np.ones_like(x))
+        layer.step(0.1, 0.9, 0.0)
+        assert_views(layer)
+
+        trainer = self.make_trainer()
+        for _ in range(20):  # past realignment at 15
+            trainer.step()
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, trainer)
+        assert_views(load_model(path).pwlu_layers()[0])
+        loaded = load_checkpoint(path, trainer.train_features, trainer.train_labels)
+        assert_views(loaded.model.pwlu_layers()[0])
 
     def test_samples_saved_only_while_collecting(self, tmp_path):
         trainer = self.make_trainer()
