@@ -53,8 +53,8 @@ class RunConfig:
     half_width: float = 3.0
     epochs: int = _option(60, low=0)
     lr: float = _option(0.1, low=0)
-    momentum: float = 0.9
-    weight_decay: float = 0.0
+    momentum: float = _option(0.9, low=0)
+    weight_decay: float = _option(0.0, low=0)
     batch_size: int = _option(64, low=1)
     seed: int = _option(0, low=0)
     out: str = _option("run_out", "output directory")

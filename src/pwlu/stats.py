@@ -98,7 +98,12 @@ def percentile_interval(samples, lo: float = 0.05, hi: float = 0.95, min_samples
 
 
 class Reservoir:
-    """Uniform fixed-capacity samples (algorithm R) of one stream, or of `streams` from one rng."""
+    """Uniform fixed-capacity samples (algorithm R) of one stream, or of `streams` from one rng.
+
+    Once full, `extend` draws a batch's slots in one call, stream after stream as per-item
+    loops over the streams do, and writes the kept items with one `put` in item order, so
+    a slot drawn twice keeps the later item.
+    """
 
     def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int = 0,
                  streams: int | None = None):
@@ -113,23 +118,18 @@ class Reservoir:
 
     def extend(self, values) -> None:
         vals = np.asarray(values, dtype=np.float64).reshape(self.buffer.shape[:-1] + (-1,))
-        start = 0
-        if self.seen < self.capacity:
-            take = min(self.capacity - self.seen, vals.shape[-1])
-            self.buffer[..., self.seen:self.seen + take] = vals[..., :take]
-            self.seen += take
-            start = take
-        rest = np.atleast_2d(vals[..., start:])
+        take = max(0, min(self.capacity - self.seen, vals.shape[-1]))
+        self.buffer[..., self.seen:self.seen + take] = vals[..., :take]
+        self.seen += take
+        rest = np.atleast_2d(vals[..., take:])
         if rest.size:
-            # Item number t replaces slot j ~ uniform[0, t) when j < capacity; one
-            # call draws stream after stream, as per-item loops over the streams do.
+            # Item number t replaces slot j ~ uniform[0, t) when j < capacity.
             counts = self.seen + 1 + np.arange(rest.shape[1])
             slots = self.rng.integers(0, counts, size=rest.shape)
-            kept = slots < self.capacity
-            flat = (np.arange(rest.shape[0])[:, None] * self.capacity + slots)[kept]
-            # When a slot is drawn twice the later item wins, as in the loop.
-            last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]
-            self.buffer.put(flat[last], rest[kept][last])
+            kept = np.flatnonzero(slots < self.capacity)
+            flat = slots.take(kept)
+            flat += kept // rest.shape[1] * self.capacity
+            self.buffer.put(flat, rest.take(kept))
             self.seen += rest.shape[1]
 
     def values(self) -> np.ndarray:

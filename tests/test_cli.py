@@ -59,6 +59,8 @@ class TestValidation:
         (["train", "--batch-size", "0"], "batch_size"),
         (["train", "--half-width", "1e308"], "half_width"),  # 2 * half_width overflows
         (["train", "--half-width", "1e-13"], "half_width"),  # below MIN_BOUNDARY_WIDTH
+        (["train", "--momentum", "-0.5"], "momentum"),
+        (["train", "--weight-decay", "-0.5"], "weight_decay"),
     ])
     def test_rejected_with_exit_2(self, capsys, argv, field):
         assert main(argv) == 2

@@ -671,7 +671,7 @@ class TestEndToEndGradients:
 
 
 class TestCheckpoint:
-    def make_trainer(self, seed=0, total=40, realign=15):
+    def make_trainer(self, seed=0, total=40, realign=15, batch_size=16):
         train = gen_spirals(60, 0.05, 1)
         test = gen_spirals(60, 0.05, 2)
         train, test = standardize(train, test)
@@ -679,7 +679,7 @@ class TestCheckpoint:
                           pwlu_frozen=realign > 0, pwlu_collecting=realign > 0, seed=seed)
         sched = TrainSchedule(total_iterations=total, realign_iteration=realign,
                               base_lr=0.1, seed=seed)
-        return Trainer(model, sched, train.features, train.labels, batch_size=16,
+        return Trainer(model, sched, train.features, train.labels, batch_size=batch_size,
                        test_features=test.features, test_labels=test.labels)
 
     @pytest.mark.parametrize("pause_at", [10, 20])  # before and after realignment at 15
@@ -721,6 +721,36 @@ class TestCheckpoint:
             if hasattr(la, "weight"):
                 np.testing.assert_array_equal(la.weight, lb.weight)
                 np.testing.assert_array_equal(la.bias, lb.bias)
+        assert resumed.metrics == straight.metrics
+
+    def test_resume_while_reservoirs_replace(self, tmp_path):
+        # 256 samples per unit and step: full (4096) after 16 steps, realigned at 24
+        def make():
+            return self.make_trainer(total=30, realign=24, batch_size=256)
+
+        def run_to(trainer, t):
+            while trainer.t < t:
+                trainer.step()
+
+        straight, part = make(), make()
+        run_to(part, 20)
+        assert all(layer.reservoir.seen > layer.reservoir.capacity
+                   for layer in part.model.pwlu_layers())
+        path = tmp_path / "mid.bin"
+        save_checkpoint(path, part)
+        resumed = load_checkpoint(path, part.train_features, part.train_labels,
+                                  part.test_features, part.test_labels)
+        for trainer in (straight, resumed):
+            run_to(trainer, 24)  # the last collecting step
+        for la, lb in zip(resumed.model.pwlu_layers(), straight.model.pwlu_layers()):
+            np.testing.assert_array_equal(la.reservoir.buffer, lb.reservoir.buffer)
+            assert la.reservoir.seen == lb.reservoir.seen == 24 * 256
+            assert la.reservoir.rng.bit_generator.state == lb.reservoir.rng.bit_generator.state
+        resumed.run()
+        straight.run()
+        assert resumed.pre_reports and resumed.pre_reports == straight.pre_reports
+        assert resumed.post_reports == straight.post_reports
+        assert pwlu_checksum(resumed.model) == pwlu_checksum(straight.model)
         assert resumed.metrics == straight.metrics
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -236,6 +236,21 @@ class TestReservoir:
                 single.extend(batch[0])
             np.testing.assert_array_equal(single.buffer, buffer[0])
 
+    def test_slot_drawn_twice_keeps_the_later_item(self):
+        streams, capacity, seed, n = 3, 2, 5, 300
+        batches = [np.arange(streams * capacity, dtype=float).reshape(streams, capacity),
+                   100.0 + np.arange(streams * n, dtype=float).reshape(streams, n)]
+        res = Reservoir(capacity=capacity, seed=seed, streams=streams)
+        res.extend(batches[0])  # fills without drawing
+        res.extend(batches[1])
+        slots = np.random.default_rng(seed).integers(0, capacity + 1 + np.arange(n),
+                                                     size=(streams, n))
+        assert any(np.bincount(row[row < capacity]).max() > 1 for row in slots)
+        buffer, seen, rng = algorithm_r(capacity, seed, batches)
+        np.testing.assert_array_equal(res.buffer, buffer)
+        assert res.seen == seen
+        assert res.rng.bit_generator.state == rng.bit_generator.state
+
     def test_roughly_uniform(self):
         r = Reservoir(capacity=2000, seed=7)
         r.extend(np.arange(20_000))
