@@ -13,9 +13,10 @@ recorded metric rows) and a layer manifest.  Each manifest entry lists its
 arrays as (name, shape) pairs; the binary tail stores those arrays in
 manifest order, row-major: a layer's `params`, whole, then their velocities
 `v_<param>`, and for a PWLU bank its running `mean` and `std` and its
-`reservoir` samples (zero-width once collection has ended).  A bank's `theta`
-and `v_theta` have shape (N+5, U): rows B_L, B_R, K_L, K_R, then the N+1
-heights.  Saving, loading, and saving again yields a byte-identical file.
+`reservoir` buffer as it is: (U, capacity) while collecting, zero-width
+otherwise.  A bank's `theta` and `v_theta` have shape (N+5, U): rows B_L,
+B_R, K_L, K_R, then the N+1 heights.  Saving, loading, and saving again
+yields a byte-identical file.
 Versions before 4, which stored each bank field as its own array, are rejected.
 """
 
@@ -95,10 +96,8 @@ def _layer_manifest(layer):
     names = [*layer.params, *(f"v_{p}" for p in layer.params)]
     arrays = [(name, getattr(layer, name)) for name in names]
     if isinstance(layer, PwluActivation):
-        # Samples are kept only while collecting, as a bank built to load them expects.
-        samples = layer.reservoir.buffer if layer.collecting else layer.reservoir.buffer[:, :0]
         arrays += [("mean", layer.running_stats.mean), ("std", layer.running_stats.std),
-                   ("reservoir", samples)]
+                   ("reservoir", layer.reservoir.buffer)]
     meta["arrays"] = [[name, list(arr.shape)] for name, arr in arrays]
     return meta, arrays
 

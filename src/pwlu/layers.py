@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateParameterError, ShapeMismatchError
-from .kernel import (MIN_BOUNDARY_WIDTH, PwluParams, forward_fused, fused_table, init_pwlu_relu,
-                     segment_table)
+from .kernel import PwluParams, forward_fused, fused_table, init_pwlu_relu, segment_table
 from .optim import sgd_momentum_step
 from .stats import RESERVOIR_CAPACITY, Reservoir, RunningStats, realign_reset, update_stats
 
@@ -178,8 +177,9 @@ class PwluActivation(Layer):
     backward computes only the input gradient, which still flows to earlier
     layers, and sets g_theta to None, so the optimizer step leaves the unit
     parameters untouched.  While `collecting`, each training forward
-    updates the running mean/std and the reservoir sample of every unit;
-    `stop_collecting` ends that and frees the samples.
+    updates the running mean/std and the reservoir sample of every unit.
+    `collecting` is true while the reservoir has slots: from construction
+    with collecting=True until `realign` frees the samples.
 
     The parameters of all units are stored once, in one (N+5, U) array
     `theta`; b_l, b_r, k_l, k_r (U,) and y (U, N+1) are views of it
@@ -189,7 +189,9 @@ class PwluActivation(Layer):
     statistics are over units too: `running_stats`, with (U,) mean and std,
     and the U streams of `reservoir`, which share one generator; `stats` is
     a read-only snapshot of them as RunningStats.  `realign` resets the whole
-    bank from `running_stats` in one array operation.
+    bank from `running_stats` in one array operation.  A forward keeps what
+    backward reads in one tuple, `_cache`: the (elements, U) input columns,
+    the segment indices and outer masks, and each element's edge and slope.
     """
 
     params = ("theta",)
@@ -213,8 +215,12 @@ class PwluActivation(Layer):
         self.reservoir = Reservoir(RESERVOIR_CAPACITY if collecting else 0,
                                    seed=seed * 100003, streams=self.n_units)
         self.frozen = frozen
-        self.collecting = collecting
-        self._x = self._lookup = None
+        self._cache = None
+
+    @property
+    def collecting(self) -> bool:
+        """Whether a training forward feeds the statistics: while the bank holds sample slots."""
+        return self.reservoir.capacity > 0
 
     @property
     def units(self) -> tuple[PwluParams, ...]:
@@ -230,33 +236,27 @@ class PwluActivation(Layer):
                      for mean, std in zip(s.mean.tolist(), s.std.tolist()))
 
     def realign(self) -> None:
-        """Reset every unit to ReLU shape on mean -/+ 3 std of its inputs, then unfreeze.
+        """Reset every unit to ReLU shape on mean -/+ 3 std of its inputs, unfreeze, free samples.
 
         The whole new bank is built and validated before any of it is written,
-        so an error leaves the layer as it was.  The velocities are kept.
+        so an error leaves the layer as it was, samples included.  The
+        velocities and the reservoir generator's state are kept.
         """
         self._write(realign_reset(self.n_intervals, self.running_stats))
         self.frozen = False
+        # A fresh array: a zero-width view would keep the samples alive.
+        self.reservoir.buffer = np.zeros((self.n_units, 0))
 
     def _write(self, new: PwluParams) -> None:
         self.b_l[:], self.b_r[:], self.y[:] = new.left_boundary, new.right_boundary, new.y_points
         self.k_l[:], self.k_r[:] = new.left_slope, new.right_slope
 
-    def stop_collecting(self) -> None:
-        """End collection and free the reservoir samples; the generator keeps its state."""
-        self.collecting = False
-        # A fresh array: a zero-width view would keep the samples alive.
-        self.reservoir.buffer = np.zeros((self.n_units, 0))
-
     def check_params(self) -> None:
         """Raise DegenerateParameterError for a non-finite parameter or a collapsed interval."""
-        width = self.b_r - self.b_l
-        # Finite boundaries can still be an infinite width apart.
-        if not (np.isfinite(self.theta).all()
-                and ((width >= MIN_BOUNDARY_WIDTH) & (width < np.inf)).all()):
-            raise DegenerateParameterError(
-                f"{self.name}: non-finite parameters or a collapsed boundary interval"
-            )
+        try:  # PwluParams states the rule; it wraps the views of theta without a copy
+            PwluParams(self.n_intervals, self.b_l, self.b_r, self.y, self.k_l, self.k_r)
+        except DegenerateParameterError as exc:
+            raise DegenerateParameterError(f"{self.name}: {exc}") from exc
 
     def _to_columns(self, x):
         """Flatten to (elements, units): channel axis last, all else merged."""
@@ -281,10 +281,11 @@ class PwluActivation(Layer):
         n = self.n_intervals
         raw = (xc - self.b_l) / ((self.b_r - self.b_l) / n)
         # Non-finite inputs (diverged upstream weights) must not crash the
-        # index gather; the output stays non-finite and the trainer's loss
-        # check reports the offending layer.
-        raw[~np.isfinite(raw)] = 0.0
-        seg = np.clip(np.floor(raw, out=raw), 0, n - 1, out=raw).astype(np.int64) + 1
+        # index gather: fmax sends NaN and -inf to 0, fmin +inf to N-1.  The
+        # output stays non-finite and the trainer's loss check names the layer.
+        np.floor(raw, out=raw)
+        np.fmax(raw, 0, out=raw)
+        seg = np.fmin(raw, n - 1, out=raw).astype(np.int64) + 1
         left, right = xc < self.b_l, xc >= self.b_r
         seg[left] = 0
         seg[right] = n + 1
@@ -305,11 +306,12 @@ class PwluActivation(Layer):
             rows = np.ascontiguousarray(xc.T)
             self.running_stats = update_stats(self.running_stats, rows)
             self.reservoir.extend(rows)
-        # Backward reuses the lookup: the parameters only change after it.
-        self._x, self._lookup = x, self._segments(xc)
-        seg = self._lookup[0]
+        seg, left, right = self._segments(xc)
         edges, slopes, heights = segment_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r)
-        out = (xc - edges.take(seg)) * slopes.take(seg) + heights.take(seg)
+        edge, slope = edges.take(seg), slopes.take(seg)
+        # Backward reads these, not the parameters: step() changes them only after it.
+        self._cache = xc, seg, left, right, edge, slope
+        out = (xc - edge) * slope + heights.take(seg)
         return self._from_columns(out, x)
 
     def infer(self, x):
@@ -319,19 +321,16 @@ class PwluActivation(Layer):
         return self._from_columns(forward_fused(self._to_columns(x), table), x)
 
     def backward(self, grad_out):
-        xc = self._to_columns(self._x)
+        xc, seg, left, right, edge, slope = self._cache
         up = self._to_columns(grad_out)
         if xc.shape != up.shape:
             raise ShapeMismatchError(
-                f"{self.name}: input shape {self._x.shape} != upstream {grad_out.shape}"
+                f"{self.name}: input columns {xc.shape} != upstream {up.shape}"
             )
-        seg, left, right = self._lookup
-        edges, slopes, _ = segment_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r)
-        grad_in = slopes.take(seg)
-        grad_in *= up  # up * slope bit for bit: multiplication commutes
+        grad_in = slope * up  # up * slope bit for bit: multiplication commutes
         # step() reads no gradient while frozen, so none is computed or kept.
         self.g_theta = None if self.frozen else self._param_grads(
-            xc, up, grad_in, edges.take(seg), seg, left, right)
+            xc, up, grad_in, edge, seg, left, right)
         return self._from_columns(grad_in, grad_out)
 
     def _param_grads(self, xc, up, grad_in, edge, seg, left, right):

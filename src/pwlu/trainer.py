@@ -19,7 +19,8 @@ class Trainer:
     whole trajectory is a deterministic function of (model init, schedule,
     data).  When the schedule has a realignment point, every PWLU layer is
     expected to start frozen and collecting; at that iteration the units
-    are reset from their running statistics and unfrozen.
+    are reset from their running statistics and unfrozen, and their
+    reservoir samples are freed.
     """
 
     def __init__(self, model: Model, schedule: TrainSchedule,
@@ -53,12 +54,11 @@ class Trainer:
         """Reset every PWLU unit from its running statistics, unfreeze, and end collection."""
         self.pre_reports, self.post_reports = [], []
         for layer in self.model.pwlu_layers():
-            # Realignment leaves the samples as they are, so both reports share one sort.
+            # Realignment frees the samples, so both reports share one sort taken before it.
             p05, p95 = layer.reservoir.percentile_interval()
             self.pre_reports += self._alignment_reports(layer, p05, p95)
             layer.realign()
             self.post_reports += self._alignment_reports(layer, p05, p95)
-            layer.stop_collecting()
 
     def step(self) -> float:
         if self.schedule.realign_iteration > 0 and self.t == self.schedule.realign_iteration:

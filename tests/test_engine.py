@@ -19,7 +19,7 @@ from pwlu.errors import (
     ShapeMismatchError,
 )
 from pwlu.kernel import (build_fused, forward_fused, forward_reference, init_pwlu_relu,
-                         segment_table)
+                         interval_index, segment_table)
 from pwlu.kernel import backward as kernel_backward
 from pwlu.layers import (
     Conv2d,
@@ -31,8 +31,8 @@ from pwlu.layers import (
     softmax_xent_forward,
 )
 from pwlu.optim import TrainSchedule, sgd_momentum_step
-from pwlu.stats import (DEAD_STD_THRESHOLD, Reservoir, RunningStats, realign_reset,
-                        update_stats)
+from pwlu.stats import (DEAD_STD_THRESHOLD, RESERVOIR_CAPACITY, Reservoir, RunningStats,
+                        realign_reset, update_stats)
 from pwlu.trainer import Trainer
 
 
@@ -275,9 +275,9 @@ class TestPwluBank:
         nan_row = np.full((1, x.shape[1]), np.nan)
         for xs in (x, nan_row):
             want = layer.forward(xs)
-            kept = layer._x, layer._lookup
+            kept = layer._cache
             out = layer.infer(xs)
-            assert layer._x is kept[0] and layer._lookup is kept[1]
+            assert layer._cache is kept
             for (u, p, xu), (_, _, got) in zip(self.unit_inputs(layer, xs),
                                                self.unit_inputs(layer, out)):
                 np.testing.assert_array_equal(got, forward_fused(xu, build_fused(p)))
@@ -354,6 +354,36 @@ class TestPwluBank:
                                (layer.k_l, "left_slope"), (layer.k_r, "right_slope"),
                                (layer.y, "y_points")):
                 np.testing.assert_array_equal(bits(got[u]), bits(getattr(want, field)))
+
+    @settings(deadline=None, max_examples=60)
+    @given(banks())
+    def test_segments_match_per_unit_rule(self, bank):
+        layer, x, _ = bank
+        n = layer.n_intervals
+        xc = layer._to_columns(np.concatenate([x, np.full((1,) + x.shape[1:], np.nan)]))
+        seg, left, right = layer._segments(xc)
+        for u, p in enumerate(layer.units):
+            col = xc[:, u]
+            want_left, want_right = col < p.left_boundary, col >= p.right_boundary
+            want = np.where(want_left, 0, np.where(want_right, n + 1, interval_index(col, p) + 1))
+            np.testing.assert_array_equal(left[:, u], want_left)
+            np.testing.assert_array_equal(right[:, u], want_right)
+            np.testing.assert_array_equal(seg[:, u], want + u * (n + 2))
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen"])
+    def test_forward_and_backward_build_one_segment_table(self, monkeypatch, frozen):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return segment_table(*args)
+
+        monkeypatch.setattr("pwlu.layers.segment_table", counted)
+        layer = PwluActivation(4, n_intervals=4, frozen=frozen)
+        x = np.linspace(-4.0, 4.0, 20).reshape(5, 4)
+        layer.forward(x, training=True)
+        layer.backward(np.ones_like(x))
+        assert len(calls) == 1
 
     def test_trained_step_is_one_optimizer_call(self, monkeypatch):
         layer = PwluActivation(4, n_intervals=4)
@@ -530,11 +560,14 @@ class TestTwoPhaseTraining:
         layer.running_stats = RunningStats(mean, layer.running_stats.std,
                                            layer.running_stats.update_count)
         before = {p: getattr(layer, p).copy() for p in layer.params}
+        samples, seen = layer.reservoir.buffer.copy(), layer.reservoir.seen
         with pytest.raises(DegenerateParameterError):
             trainer.realign_now()
         for p, want in before.items():
             np.testing.assert_array_equal(getattr(layer, p), want)
         assert layer.frozen and layer.collecting
+        np.testing.assert_array_equal(layer.reservoir.buffer, samples)
+        assert layer.reservoir.seen == seen
 
     def test_realign_targets_input_distribution(self):
         # one frozen PWLU bank fed N(5,1) while boundaries start at [-3,3]
@@ -619,10 +652,10 @@ class TestInference:
                               base_lr=0.1, seed=0)
         Trainer(model, sched, train.features, train.labels, batch_size=64).run()
         assert test.features.shape == (1200, 2)
-        kept = [layer._x for layer in model.pwlu_layers()]
+        kept = [layer._cache for layer in model.pwlu_layers()]
         got = model.predict(test.features)
         # the fused path leaves the training forward's cache alone
-        assert all(layer._x is x for layer, x in zip(model.pwlu_layers(), kept))
+        assert all(layer._cache is cache for layer, cache in zip(model.pwlu_layers(), kept))
         np.testing.assert_array_equal(got, model.forward(test.features).argmax(axis=1))
 
 
@@ -849,15 +882,47 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, trainer.train_features, trainer.train_labels)
         assert_views(loaded.model.pwlu_layers()[0])
 
-    def test_samples_saved_only_while_collecting(self, tmp_path):
-        trainer = self.make_trainer()
-        for _ in range(5):
-            trainer.step()
-        layer = trainer.model.pwlu_layers()[0]
-        layer.collecting = False  # set directly: the samples stay in memory
+    def test_collecting_follows_the_reservoir(self, tmp_path):
         path = tmp_path / "c.bin"
+
+        def saved_reservoir_shape():
+            raw = path.read_bytes()
+            (hlen,) = struct.unpack("<I", raw[8:12])
+            bank = next(meta for meta in json.loads(raw[12:12 + hlen])["layers"]
+                        if meta["type"] == "pwlu")
+            return tuple(dict(bank["arrays"])["reservoir"])
+
+        idle = self.make_trainer(realign=0)
+        layer = idle.model.pwlu_layers()[0]
+        assert not layer.collecting
+        with pytest.raises(AttributeError):
+            layer.collecting = True  # read from the reservoir, never set
+        save_checkpoint(path, idle)
+        assert saved_reservoir_shape() == (layer.n_units, 0)
+
+        # 256 samples per unit and step: the reservoirs replace from step 16, realigned at 24
+        trainer = self.make_trainer(total=30, realign=24, batch_size=256)
+        layer = trainer.model.pwlu_layers()[0]
+        fresh = layer.reservoir.rng.bit_generator.state
+        while trainer.t < 20:
+            trainer.step()
         save_checkpoint(path, trainer)
-        assert load_model(path).pwlu_layers()[0].reservoir.buffer.shape == (layer.n_units, 0)
+        loaded = load_model(path).pwlu_layers()[0]
+        assert loaded.collecting
+        assert loaded.reservoir.buffer.shape == (layer.n_units, RESERVOIR_CAPACITY)
+        np.testing.assert_array_equal(loaded.reservoir.buffer, layer.reservoir.buffer)
+
+        while trainer.t < 24:
+            trainer.step()
+        state = layer.reservoir.rng.bit_generator.state
+        assert state != fresh  # slots were drawn
+        trainer.step()  # realigns, then trains
+        assert not layer.collecting and not layer.frozen
+        assert layer.reservoir.buffer.shape == (layer.n_units, 0)
+        assert layer.reservoir.rng.bit_generator.state == state
+        save_checkpoint(path, trainer)
+        assert saved_reservoir_shape() == (layer.n_units, 0)
+        assert load_model(path).pwlu_layers()[0].reservoir.rng.bit_generator.state == state
 
     @pytest.mark.parametrize("corrupt", [
         lambda layer: layer.b_r.__setitem__(0, layer.b_l[0]),
