@@ -32,7 +32,7 @@ import typing
 import numpy as np
 
 from .errors import CheckpointError
-from .layers import Conv2d, Dense, Model, PwluActivation, Relu, Swish
+from .layers import Dense, Model, PwluActivation, Relu, Swish
 from .optim import TrainSchedule
 from .trainer import Trainer
 
@@ -63,7 +63,6 @@ _TRAINER = {"t": "count", "epoch_loss_sum": "number", "epoch_loss_count": "count
 _SCHEDULE = {name: {int: "count", float: "number"}[kind]
              for name, kind in typing.get_type_hints(TrainSchedule).items()}
 _DENSE = {"in_dim": "size", "out_dim": "size"}
-_CONV = {"in_ch": "size", "out_ch": "size", "ksize": "size", "padding": "count"}
 _PWLU = {"n_channels": "size", "n_intervals": "size", "frozen": "flag", "collecting": "flag"}
 
 
@@ -75,10 +74,6 @@ def _layer_manifest(layer):
     if isinstance(layer, Dense):
         meta = {"type": "dense", "name": layer.name,
                 "in_dim": layer.weight.shape[0], "out_dim": layer.weight.shape[1]}
-    elif isinstance(layer, Conv2d):
-        meta = {"type": "conv", "name": layer.name,
-                "out_ch": layer.weight.shape[0], "in_ch": layer.weight.shape[1],
-                "ksize": layer.ksize, "padding": layer.padding}
     elif isinstance(layer, Relu):
         meta = {"type": "relu", "name": layer.name}
     elif isinstance(layer, Swish):
@@ -107,8 +102,6 @@ def _rebuild_layer(meta, arrays):
     kind = meta["type"]
     if kind == "dense":
         layer = Dense(rng=dummy_rng, name=meta["name"], **_fields(meta, _DENSE))
-    elif kind == "conv":
-        layer = Conv2d(rng=dummy_rng, name=meta["name"], **_fields(meta, _CONV))
     elif kind == "relu":
         layer = Relu(name=meta["name"])
     elif kind == "swish":

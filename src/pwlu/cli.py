@@ -8,6 +8,7 @@ directory so a run can be reproduced from it.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import sys
 import time
@@ -107,8 +108,6 @@ class RunConfig:
                 raise ConfigError(name, f"must be >= {low}, got {value}")
         if self.n_intervals < 2 or self.n_intervals % 2 != 0:
             raise ConfigError("n_intervals", f"must be even and >= 2, got {self.n_intervals}")
-        if self.half_width <= 0:
-            raise ConfigError("half_width", f"must be positive, got {self.half_width}")
         if not MIN_BOUNDARY_WIDTH <= 2 * self.half_width < np.inf:
             raise ConfigError("half_width", f"2 * half_width must be finite and >= "
                                             f"{MIN_BOUNDARY_WIDTH}, got {2 * self.half_width}")
@@ -252,10 +251,10 @@ def cmd_sweep_n(config: RunConfig) -> int:
         except PwluError as exc:  # record the failure, keep sweeping
             rows.append((n, float("nan"), float("nan"), f"error: {exc}"))
     table_path = out_dir / "sweep.csv"
-    with open(table_path, "w") as fh:
-        fh.write("n_intervals,final_test_accuracy,final_train_loss,status\n")
-        for n, acc, loss, status in rows:
-            fh.write(f"{n},{acc!r},{loss!r},{status}\n")
+    with open(table_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # an error status may hold a comma
+        writer.writerow(["n_intervals", "final_test_accuracy", "final_train_loss", "status"])
+        writer.writerows((n, repr(acc), repr(loss), status) for n, acc, loss, status in rows)
     for n, acc, loss, status in rows:
         print(f"N={n:<3d} test_accuracy={acc:.4f} status={status}")
     return 0

@@ -1,4 +1,4 @@
-"""Minimal dense-tensor layers: linear, conv, fixed activations, and the PWLU bank.
+"""Minimal dense-tensor layers: linear, fixed activations, and the PWLU bank.
 
 Tensors are plain float64 numpy arrays.  Every layer caches what its own
 backward pass needs; backward returns the input gradient and stores the
@@ -65,71 +65,6 @@ class Dense(Layer):
         self.g_weight = self._x.T @ grad_out
         self.g_bias = grad_out.sum(axis=0)
         return grad_out @ self.weight.T
-
-
-class Conv2d(Layer):
-    """2-D convolution (stride 1, symmetric zero padding) via im2col."""
-
-    params = ("weight", "bias")
-
-    def __init__(self, in_ch: int, out_ch: int, ksize: int, rng: np.random.Generator,
-                 padding: int = 0, name: str = "conv"):
-        self.name = name
-        self.ksize = ksize
-        self.padding = padding
-        fan_in = in_ch * ksize * ksize
-        self.weight = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_ch, in_ch, ksize, ksize))
-        self.bias = np.zeros(out_ch)
-        self.v_weight = np.zeros_like(self.weight)
-        self.v_bias = np.zeros_like(self.bias)
-        self.g_weight = np.zeros_like(self.weight)
-        self.g_bias = np.zeros_like(self.bias)
-        self._cols = None
-        self._x_shape = None
-
-    def _im2col(self, x):
-        b, c, h, w = x.shape
-        k = self.ksize
-        oh, ow = h - k + 1, w - k + 1
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        # (b, c, oh, ow, k, k) -> (b*oh*ow, c*k*k)
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * k * k)
-        return cols, oh, ow
-
-    def forward(self, x, training=False):
-        if x.ndim != 4 or x.shape[1] != self.weight.shape[1]:
-            raise ShapeMismatchError(
-                f"{self.name}: expected (batch, {self.weight.shape[1]}, H, W), got {x.shape}"
-            )
-        if self.padding:
-            p = self.padding
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        self._x_shape = x.shape
-        cols, oh, ow = self._im2col(x)
-        self._cols = cols
-        w_flat = self.weight.reshape(self.weight.shape[0], -1)
-        out = cols @ w_flat.T + self.bias
-        return out.reshape(x.shape[0], oh, ow, -1).transpose(0, 3, 1, 2)
-
-    def backward(self, grad_out):
-        b, oc, oh, ow = grad_out.shape
-        g_flat = grad_out.transpose(0, 2, 3, 1).reshape(-1, oc)
-        w_flat = self.weight.reshape(oc, -1)
-        self.g_weight = (g_flat.T @ self._cols).reshape(self.weight.shape)
-        self.g_bias = g_flat.sum(axis=0)
-
-        g_cols = g_flat @ w_flat
-        k = self.ksize
-        _, c, h, w = self._x_shape
-        gx = np.zeros(self._x_shape)
-        g_cols = g_cols.reshape(b, oh, ow, c, k, k)
-        for i in range(k):
-            for j in range(k):
-                gx[:, :, i:i + oh, j:j + ow] += g_cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        if self.padding:
-            p = self.padding
-            gx = gx[:, :, p:-p, p:-p]
-        return gx
 
 
 class Relu(Layer):

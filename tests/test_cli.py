@@ -1,6 +1,9 @@
 """Command-line interface: validation, artifacts, determinism, precedence."""
 
+import csv
+import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +15,8 @@ import pwlu
 from pwlu import cli
 from pwlu.checkpoint import load_model
 from pwlu.cli import main
-from pwlu.data import load_shape_params
+from pwlu.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_shape_params
+from pwlu.errors import CheckpointError
 
 FAST = ["--dataset", "spirals", "--n-per-class", "40", "--noise", "0.05",
         "--arch", "2,6,2", "--epochs", "4", "--t-prime-epochs", "1",
@@ -143,6 +147,20 @@ class TestSweep:
         assert code == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
+    def test_error_status_with_a_comma_stays_one_field(self, tmp_path):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">4I", IDX_IMAGES_MAGIC, 10, 2, 2) + bytes(3))
+        labels.write_bytes(struct.pack(">2I", IDX_LABELS_MAGIC, 10) + bytes(10))
+        out = tmp_path / "sweep"
+        code = main(["sweep-n", "--dataset", f"idx:{images},{labels}", "--n-list", "4,8",
+                     "--out", str(out)])
+        assert code == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert [len(row) for row in table] == [4, 4, 4]
+        status = f"error: {images}: payload holds 3 bytes, header promises 40"
+        assert table[1:] == [["4", "nan", "nan", status], ["8", "nan", "nan", status]]
+
 
 class TestBench:
     def test_quick(self, tmp_path, capsys):
@@ -198,6 +216,22 @@ class TestExport:
         _, run = run_train(tmp_path)
         path = run / "checkpoint.bin"
         path.write_bytes(corrupt(path.read_bytes()))
+        code = main(["export", "--checkpoint", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: type=CheckpointError")
+
+    def test_conv_layer_is_unknown(self, tmp_path, capsys):
+        # No conv layer type exists; a manifest that names one fails as any unknown type does.
+        _, run = run_train(tmp_path)
+        path = run / "checkpoint.bin"
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + hlen])
+        header["layers"][0]["type"] = "conv"
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:])
+        with pytest.raises(CheckpointError, match="unknown layer type 'conv'"):
+            load_model(path)
         code = main(["export", "--checkpoint", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: type=CheckpointError")

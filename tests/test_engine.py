@@ -22,7 +22,6 @@ from pwlu.kernel import (build_fused, forward_fused, forward_reference, init_pwl
                          interval_index, segment_table)
 from pwlu.kernel import backward as kernel_backward
 from pwlu.layers import (
-    Conv2d,
     Dense,
     PwluActivation,
     Swish,
@@ -93,58 +92,6 @@ class TestLayers:
         with pytest.raises(ShapeMismatchError):
             layer.forward(np.zeros((2, 4)))
 
-    def test_conv_matches_naive_loop(self):
-        rng = np.random.default_rng(2)
-        conv = Conv2d(2, 3, 3, rng)
-        x = rng.normal(size=(2, 2, 5, 5))
-        out = conv.forward(x)
-        b, oc, oh, ow = out.shape
-        assert (oh, ow) == (3, 3)
-        for bi in range(b):
-            for o in range(oc):
-                for i in range(oh):
-                    for j in range(ow):
-                        want = np.sum(x[bi, :, i:i + 3, j:j + 3] * conv.weight[o]) + conv.bias[o]
-                        assert out[bi, o, i, j] == pytest.approx(want)
-
-    def test_conv_finite_difference_grads(self):
-        rng = np.random.default_rng(3)
-        conv = Conv2d(1, 2, 2, rng, padding=1)
-        x = rng.normal(size=(2, 1, 4, 4))
-        up = rng.normal(size=conv.forward(x).shape)
-
-        conv.forward(x)
-        gx = conv.backward(up)
-        h = 1e-6
-
-        def loss_of_x(xv):
-            return np.sum(conv.forward(xv) * up)
-
-        for flat in rng.choice(x.size, size=8, replace=False):
-            xi = np.unravel_index(flat, x.shape)
-            xu, xd = x.copy(), x.copy()
-            xu[xi] += h
-            xd[xi] -= h
-            fd = (loss_of_x(xu) - loss_of_x(xd)) / (2 * h)
-            assert abs(gx[xi] - fd) <= 1e-5 * max(1.0, abs(fd))
-
-        def loss_of_w(wv):
-            saved = conv.weight
-            conv.weight = wv
-            value = np.sum(conv.forward(x) * up)
-            conv.weight = saved
-            return value
-
-        conv.forward(x)
-        conv.backward(up)
-        for flat in rng.choice(conv.weight.size, size=8, replace=False):
-            wi = np.unravel_index(flat, conv.weight.shape)
-            wu, wd = conv.weight.copy(), conv.weight.copy()
-            wu[wi] += h
-            wd[wi] -= h
-            fd = (loss_of_w(wu) - loss_of_w(wd)) / (2 * h)
-            assert abs(conv.g_weight[wi] - fd) <= 1e-5 * max(1.0, abs(fd))
-
     def test_swish_gradient(self):
         layer = Swish()
         x = np.linspace(-3, 3, 31).reshape(1, -1)
@@ -187,7 +134,7 @@ def banks(draw):
 
     Each unit's column holds its grid points (boundaries included), +-inf,
     and random values around its interval; NaNs sit in a separate row.  A
-    channel bank sometimes gets a (B, C, H, W) input, as after a Conv2d.
+    channel bank sometimes gets a (B, C, H, W) input, one unit per feature map.
     """
     granularity = draw(st.sampled_from(["channel", "layer"]))
     channels = draw(st.integers(1, 6))
