@@ -32,7 +32,7 @@ import typing
 import numpy as np
 
 from .errors import CheckpointError
-from .layers import Dense, Model, PwluActivation, Relu, Swish
+from .layers import LAYER_TYPES, Dense, Model, PwluActivation
 from .optim import TrainSchedule
 from .trainer import Trainer
 
@@ -44,6 +44,7 @@ _SCALARS = {
     "count": ("a non-negative int", lambda v: type(v) is int and v >= 0),
     "size": ("a positive int", lambda v: type(v) is int and v > 0),
     "flag": ("a bool", lambda v: type(v) is bool),
+    "text": ("a string", lambda v: type(v) is str),
     "number": ("a number", lambda v: type(v) in (int, float)),
     "rows": ("a list of objects", lambda v: type(v) is list and all(type(r) is dict for r in v)),
 }
@@ -57,13 +58,14 @@ def _scalar(record, key, kind):
     return record[key]
 
 
-# Header fields read back into a trainer, its schedule and each layer type, each with its kind.
+# Header fields read back into a trainer, its schedule and each layer's constructor, with kinds.
 _TRAINER = {"t": "count", "epoch_loss_sum": "number", "epoch_loss_count": "count",
             "metrics": "rows"}
 _SCHEDULE = {name: {int: "count", float: "number"}[kind]
              for name, kind in typing.get_type_hints(TrainSchedule).items()}
-_DENSE = {"in_dim": "size", "out_dim": "size"}
-_PWLU = {"n_channels": "size", "n_intervals": "size", "frozen": "flag", "collecting": "flag"}
+_LAYER = {Dense: {"in_dim": "size", "out_dim": "size"},
+          PwluActivation: {"n_channels": "size", "n_intervals": "size", "granularity": "text",
+                           "frozen": "flag", "collecting": "flag"}}
 
 
 def _fields(meta, table):
@@ -71,26 +73,17 @@ def _fields(meta, table):
 
 
 def _layer_manifest(layer):
-    if isinstance(layer, Dense):
-        meta = {"type": "dense", "name": layer.name,
-                "in_dim": layer.weight.shape[0], "out_dim": layer.weight.shape[1]}
-    elif isinstance(layer, Relu):
-        meta = {"type": "relu", "name": layer.name}
-    elif isinstance(layer, Swish):
-        meta = {"type": "swish", "name": layer.name}
-    elif isinstance(layer, PwluActivation):
-        meta = {
-            "type": "pwlu", "name": layer.name, "granularity": layer.granularity,
-            **{key: getattr(layer, key) for key in _PWLU},
-            "stats_count": layer.running_stats.update_count,
-            "reservoir_seen": layer.reservoir.seen,
-            "reservoir_rng": layer.reservoir.rng.bit_generator.state,
-        }
-    else:
+    cls = LAYER_TYPES.get(layer.kind)
+    if cls is None or not isinstance(layer, cls):
         raise TypeError(f"cannot checkpoint layer type {type(layer).__name__}")
+    meta = {"type": layer.kind, "name": layer.name,
+            **{key: getattr(layer, key) for key in _LAYER.get(cls, {})}}
     names = [*layer.params, *(f"v_{p}" for p in layer.params)]
     arrays = [(name, getattr(layer, name)) for name in names]
     if isinstance(layer, PwluActivation):
+        meta.update(stats_count=layer.running_stats.update_count,
+                    reservoir_seen=layer.reservoir.seen,
+                    reservoir_rng=layer.reservoir.rng.bit_generator.state)
         arrays += [("mean", layer.running_stats.mean), ("std", layer.running_stats.std),
                    ("reservoir", layer.reservoir.buffer)]
     meta["arrays"] = [[name, list(arr.shape)] for name, arr in arrays]
@@ -98,26 +91,21 @@ def _layer_manifest(layer):
 
 
 def _rebuild_layer(meta, arrays):
-    dummy_rng = np.random.default_rng(0)
     kind = meta["type"]
-    if kind == "dense":
-        layer = Dense(rng=dummy_rng, name=meta["name"], **_fields(meta, _DENSE))
-    elif kind == "relu":
-        layer = Relu(name=meta["name"])
-    elif kind == "swish":
-        layer = Swish(name=meta["name"])
-    elif kind == "pwlu":
-        layer = PwluActivation(granularity=meta["granularity"], name=meta["name"],
-                               **_fields(meta, _PWLU))
-    else:
+    cls = LAYER_TYPES.get(kind)
+    if cls is None:
         raise CheckpointError(f"unknown layer type {kind!r} in checkpoint")
+    fields = _fields(meta, _LAYER.get(cls, {}))
+    if cls is Dense:  # its initial weights are drawn, then replaced by the stored ones
+        fields["rng"] = np.random.default_rng(0)
+    layer = cls(name=meta["name"], **fields)
     own_meta, own_arrays = _layer_manifest(layer)
     if meta["arrays"] != own_meta["arrays"]:
         raise CheckpointError(f"layer {meta['name']!r}: stored arrays do not fit a {kind} layer")
     # Copied in, not rebound: a PWLU bank's field attributes are views of its theta.
     for (_, own), stored in zip(own_arrays, arrays):
         own[...] = stored
-    if kind == "pwlu":
+    if isinstance(layer, PwluActivation):
         layer.check_params()
         layer.running_stats = dataclasses.replace(
             layer.running_stats, update_count=_scalar(meta, "stats_count", "count"))

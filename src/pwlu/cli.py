@@ -22,7 +22,7 @@ from .data import export_shapes, gen_spirals, load_idx, standardize
 from .errors import ConfigError, PwluError
 from .kernel import (MIN_BOUNDARY_WIDTH, build_fused, forward_fused, forward_reference,
                      init_pwlu_relu)
-from .layers import Dense, build_mlp
+from .layers import ACTIVATIONS, Dense, build_mlp
 from .optim import TrainSchedule
 from .stats import write_alignment_csv
 from .trainer import Trainer
@@ -46,7 +46,7 @@ class RunConfig:
     subcommand: str
     dataset: str = _option("spirals", "spirals | idx:IMAGES,LABELS")
     arch: str = _option("2,32,32,2", "comma-separated layer widths")
-    activation: str = _option("pwlu", choices=("relu", "swish", "pwlu"))
+    activation: str = _option("pwlu", choices=tuple(ACTIVATIONS))
     n_intervals: int = 16
     granularity: str = _option("channel", choices=("layer", "channel"))
     realign: str = _option("on", choices=("on", "off"))
@@ -120,6 +120,8 @@ class RunConfig:
                 )
         if self.subcommand == "sweep-n":
             self.n_values()
+        if self.subcommand == "export" and not self.checkpoint:
+            raise ConfigError("checkpoint", "export requires --checkpoint PATH")
 
 
 _OPTIONS = {f.name: f for f in dataclasses.fields(RunConfig) if f.name != "subcommand"}
@@ -174,23 +176,28 @@ def _write_resolved_config(config: RunConfig, out_dir: Path) -> None:
 
 
 def _load_datasets(config: RunConfig):
+    """The standardized (train, test) split; ConfigError if --arch does not fit the data."""
     if config.dataset == "spirals":
         train = gen_spirals(config.n_per_class, config.noise, config.seed)
         test = gen_spirals(config.n_per_class, config.noise, config.seed + 100_000)
-        return standardize(train, test)
-    images_path, labels_path = config.dataset[4:].split(",", 1)
-    full = load_idx(images_path, labels_path)
-    n_train = int(full.features.shape[0] * 0.9)
-    train = dataclasses.replace(full, features=full.features[:n_train],
-                                labels=full.labels[:n_train])
-    test = dataclasses.replace(full, features=full.features[n_train:],
-                               labels=full.labels[n_train:])
+    else:
+        images_path, labels_path = config.dataset[4:].split(",", 1)
+        full = load_idx(images_path, labels_path)
+        n_train = int(full.features.shape[0] * 0.9)
+        train = dataclasses.replace(full, features=full.features[:n_train],
+                                    labels=full.labels[:n_train])
+        test = dataclasses.replace(full, features=full.features[n_train:],
+                                   labels=full.labels[n_train:])
+    widths, features = config.widths(), train.features.shape[1]
+    classes = max(train.num_classes, test.num_classes)
+    if widths[0] != features or widths[-1] < classes:
+        raise ConfigError("arch", f"{config.arch} does not fit the data: need {features} "
+                                  f"inputs and at least {classes} outputs")
     return standardize(train, test)
 
 
-def run_training(config: RunConfig, out_dir: Path) -> dict:
-    """Train per the config, write all artifacts, return summary values."""
-    train, test = _load_datasets(config)
+def run_training(config: RunConfig, train, test, out_dir: Path) -> dict:
+    """Train per the config on the loaded data, write all artifacts, return summary values."""
     widths = config.widths()
     realign_active = config.realign == "on" and config.activation == "pwlu"
     rng = np.random.default_rng(config.seed)
@@ -227,25 +234,24 @@ def run_training(config: RunConfig, out_dir: Path) -> dict:
 
 def cmd_train(config: RunConfig) -> int:
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    train, test = _load_datasets(config)
     _write_resolved_config(config, out_dir)
-    summary = run_training(config, out_dir)
+    summary = run_training(config, train, test, out_dir)
     print(f"final_test_accuracy={summary['final_test_accuracy']:.4f}")
     return 0
 
 
 def cmd_sweep_n(config: RunConfig) -> int:
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    train, test = _load_datasets(config)
     _write_resolved_config(config, out_dir)
     rows = []
     for n in config.n_values():
-        run_cfg = dataclasses.replace(config, n_intervals=n, activation="pwlu",
-                                      out=str(out_dir / f"n{n}"))
-        run_dir = Path(run_cfg.out)
-        run_dir.mkdir(parents=True, exist_ok=True)
+        run_dir = out_dir / f"n{n}"
+        run_cfg = dataclasses.replace(config, n_intervals=n, activation="pwlu", out=str(run_dir))
+        run_dir.mkdir(exist_ok=True)
         try:
-            summary = run_training(run_cfg, run_dir)
+            summary = run_training(run_cfg, train, test, run_dir)
             rows.append((n, summary["final_test_accuracy"],
                          summary["final_train_loss"], "ok"))
         except PwluError as exc:  # record the failure, keep sweeping
@@ -272,8 +278,6 @@ def _time_kernel(fn, repetitions: int):
 
 
 def cmd_bench(config: RunConfig) -> int:
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = None
     if config.checkpoint:
         model = load_model(config.checkpoint)
@@ -299,7 +303,7 @@ def cmd_bench(config: RunConfig) -> int:
     ]
     if model is not None:
         # The whole model on about batch_elems inputs: three-branch forward, then fused predict.
-        in_dim = model.layers[0].weight.shape[0]
+        in_dim = model.layers[0].in_dim
         batch = rng.normal(size=(max(1, config.batch_elems // in_dim), in_dim))
         kernels += [
             ("model_forward", lambda: model.forward(batch).argmax(axis=1)),
@@ -309,7 +313,7 @@ def cmd_bench(config: RunConfig) -> int:
     for name, fn in kernels:
         mean_ms, std_ms = _time_kernel(fn, config.repetitions)
         rows.append((name, mean_ms, std_ms))
-    with open(out_dir / "bench.csv", "w") as fh:
+    with open(Path(config.out) / "bench.csv", "w") as fh:
         fh.write("kernel,mean_ms,std_ms\n")
         for name, mean_ms, std_ms in rows:
             fh.write(f"{name},{mean_ms!r},{std_ms!r}\n")
@@ -319,10 +323,7 @@ def cmd_bench(config: RunConfig) -> int:
 
 
 def cmd_export(config: RunConfig) -> int:
-    if not config.checkpoint:
-        raise ConfigError("checkpoint", "export requires --checkpoint PATH")
     out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = load_model(config.checkpoint)
     export_shapes(model, out_dir / "shapes.csv", out_dir / "shapes.json")
     print(f"exported shapes to {out_dir / 'shapes.csv'}")
@@ -352,11 +353,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
+        Path(config.out).mkdir(parents=True, exist_ok=True)
         return COMMANDS[config.subcommand](config)
     except ConfigError as exc:
         print(f"error: field={exc.field} message={exc.message}", file=sys.stderr)
         return 2
-    except PwluError as exc:
+    except (PwluError, OSError) as exc:
         print(f"error: type={type(exc).__name__} message={exc}", file=sys.stderr)
         return 1
 

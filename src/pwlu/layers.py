@@ -16,7 +16,8 @@ from .stats import RESERVOIR_CAPACITY, Reservoir, RunningStats, realign_reset, u
 
 
 class Layer:
-    name = "layer"
+    # The type name: the checkpoint manifest's `type` and, for an activation, `build_mlp`'s.
+    kind = ""
     # Trained arrays, each with a gradient g_<name> and a velocity v_<name>;
     # the optimizer step and the checkpoint both read this list.
     params: tuple[str, ...] = ()
@@ -41,11 +42,13 @@ class Layer:
 class Dense(Layer):
     """Fully connected layer: y = x @ W + b."""
 
+    kind = "dense"
     params = ("weight", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "dense"):
         self.name = name
         self.weight = rng.normal(0.0, np.sqrt(2.0 / in_dim), size=(in_dim, out_dim))
+        self.in_dim, self.out_dim = self.weight.shape
         self.bias = np.zeros(out_dim)
         self.v_weight = np.zeros_like(self.weight)
         self.v_bias = np.zeros_like(self.bias)
@@ -68,6 +71,8 @@ class Dense(Layer):
 
 
 class Relu(Layer):
+    kind = "relu"
+
     def __init__(self, name: str = "relu"):
         self.name = name
         self._mask = None
@@ -82,6 +87,8 @@ class Relu(Layer):
 
 class Swish(Layer):
     """x * sigmoid(x), the fixed-shape baseline."""
+
+    kind = "swish"
 
     def __init__(self, name: str = "swish"):
         self.name = name
@@ -129,6 +136,7 @@ class PwluActivation(Layer):
     the segment indices and outer masks, and each element's edge and slope.
     """
 
+    kind = "pwlu"
     params = ("theta",)
 
     def __init__(self, n_channels: int, n_intervals: int = 16, granularity: str = "channel",
@@ -420,32 +428,30 @@ class Model:
         return None
 
 
+# Every layer type by its name; `build_mlp` and the CLI choose among ACTIVATIONS.
+ACTIVATIONS = {cls.kind: cls for cls in (Relu, Swish, PwluActivation)}
+LAYER_TYPES = {Dense.kind: Dense, **ACTIVATIONS}
+
+
 def build_mlp(widths: list[int], activation: str, rng: np.random.Generator,
               n_intervals: int = 16, granularity: str = "channel", half_width: float = 3.0,
               pwlu_frozen: bool = False, pwlu_collecting: bool = False,
               seed: int = 0) -> Model:
     """MLP with the chosen activation after every hidden linear layer."""
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    act = ACTIVATIONS[activation]
     layers: list[Layer] = []
     for i in range(len(widths) - 1):
         layers.append(Dense(widths[i], widths[i + 1], rng, name=f"dense{i}"))
-        if i < len(widths) - 2:
-            if activation == "relu":
-                layers.append(Relu(name=f"relu{i}"))
-            elif activation == "swish":
-                layers.append(Swish(name=f"swish{i}"))
-            elif activation == "pwlu":
-                layers.append(
-                    PwluActivation(
-                        n_channels=widths[i + 1],
-                        n_intervals=n_intervals,
-                        granularity=granularity,
-                        half_width=half_width,
-                        frozen=pwlu_frozen,
-                        collecting=pwlu_collecting,
-                        seed=seed + i,
-                        name=f"pwlu{i}",
-                    )
-                )
-            else:
-                raise ValueError(f"unknown activation {activation!r}")
+        if i == len(widths) - 2:
+            break
+        name = f"{activation}{i}"
+        if act is PwluActivation:
+            layers.append(PwluActivation(
+                n_channels=widths[i + 1], n_intervals=n_intervals, granularity=granularity,
+                half_width=half_width, frozen=pwlu_frozen, collecting=pwlu_collecting,
+                seed=seed + i, name=name))
+        else:
+            layers.append(act(name=name))
     return Model(layers)

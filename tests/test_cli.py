@@ -71,6 +71,25 @@ class TestValidation:
         err = capsys.readouterr().err
         assert f"field={field}" in err and "message=" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--arch", "2,8,1"],  # one output for two classes
+        ["sweep-n", "--arch", "3,6,2", "--n-list", "4,8"],  # three inputs for two features
+    ])
+    def test_arch_must_fit_the_data(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "field=arch" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "sweep-n", "bench", "export"])
+    def test_out_that_is_a_file_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main([command, "--checkpoint", str(tmp_path / "c.bin"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: type=FileExistsError") and err.count("\n") == 1
+
     def test_t_prime_ignored_when_realign_off(self, tmp_path):
         code, _ = run_train(tmp_path, extra=["--realign", "off",
                                              "--t-prime-epochs", "99"])
@@ -148,18 +167,30 @@ class TestSweep:
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
     def test_error_status_with_a_comma_stays_one_field(self, tmp_path):
+        # 8 training samples: too few for realignment's percentiles, in every run
+        out = tmp_path / "sweep"
+        code = main(["sweep-n", "--n-per-class", "4", "--batch-size", "4", "--arch", "2,6,2",
+                     "--epochs", "4", "--t-prime-epochs", "1", "--n-list", "4,8",
+                     "--out", str(out)])
+        assert code == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert [len(row) for row in table] == [4, 4, 4]
+        status = "error: need at least 20 samples, got 8"
+        assert table[1:] == [["4", "nan", "nan", status], ["8", "nan", "nan", status]]
+
+    def test_unreadable_dataset_exits_1_before_any_run(self, tmp_path, capsys):
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
         images.write_bytes(struct.pack(">4I", IDX_IMAGES_MAGIC, 10, 2, 2) + bytes(3))
         labels.write_bytes(struct.pack(">2I", IDX_LABELS_MAGIC, 10) + bytes(10))
         out = tmp_path / "sweep"
         code = main(["sweep-n", "--dataset", f"idx:{images},{labels}", "--n-list", "4,8",
                      "--out", str(out)])
-        assert code == 0
-        with open(out / "sweep.csv", newline="") as fh:
-            table = list(csv.reader(fh))
-        assert [len(row) for row in table] == [4, 4, 4]
-        status = f"error: {images}: payload holds 3 bytes, header promises 40"
-        assert table[1:] == [["4", "nan", "nan", status], ["8", "nan", "nan", status]]
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: type=TruncatedPayloadError") and err.count("\n") == 1
+        assert "payload holds 3 bytes, header promises 40" in err
+        assert list(out.iterdir()) == []
 
 
 class TestBench:
@@ -279,7 +310,7 @@ class TestConfigFile:
         assert "field=config" in capsys.readouterr().err
 
     def test_default_config_txt(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "run_training", lambda config, out_dir: {
+        monkeypatch.setattr(cli, "run_training", lambda config, train, test, out_dir: {
             "final_test_accuracy": 0.0, "final_train_loss": 0.0})
         out = tmp_path / "o"
         assert main(["train", "--out", str(out)]) == 0

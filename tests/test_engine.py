@@ -651,11 +651,11 @@ class TestEndToEndGradients:
 
 
 class TestCheckpoint:
-    def make_trainer(self, seed=0, total=40, realign=15, batch_size=16):
+    def make_trainer(self, seed=0, total=40, realign=15, batch_size=16, activation="pwlu"):
         train = gen_spirals(60, 0.05, 1)
         test = gen_spirals(60, 0.05, 2)
         train, test = standardize(train, test)
-        model = build_mlp([2, 6, 2], "pwlu", np.random.default_rng(seed), n_intervals=4,
+        model = build_mlp([2, 6, 2], activation, np.random.default_rng(seed), n_intervals=4,
                           pwlu_frozen=realign > 0, pwlu_collecting=realign > 0, seed=seed)
         sched = TrainSchedule(total_iterations=total, realign_iteration=realign,
                               base_lr=0.1, seed=seed)
@@ -733,6 +733,23 @@ class TestCheckpoint:
         assert pwlu_checksum(resumed.model) == pwlu_checksum(straight.model)
         assert resumed.metrics == straight.metrics
 
+    @pytest.mark.parametrize("activation", ["relu", "swish", "pwlu"])
+    def test_every_layer_type_round_trips(self, tmp_path, activation):
+        realign = 15 if activation == "pwlu" else 0
+        trainer = self.make_trainer(realign=realign, activation=activation)
+        for _ in range(20):
+            trainer.step()
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, trainer)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + hlen])
+        assert [meta["type"] for meta in header["layers"]] == ["dense", activation, "dense"]
+        loaded, x = load_model(path), trainer.test_features
+        assert [type(la) for la in loaded.layers] == [type(la) for la in trainer.model.layers]
+        np.testing.assert_array_equal(loaded.forward(x), trainer.model.forward(x))
+        np.testing.assert_array_equal(loaded.predict(x), trainer.model.predict(x))
+
     def test_trailing_bytes_rejected(self, tmp_path):
         trainer = self.make_trainer()
         path = tmp_path / "c.bin"
@@ -767,6 +784,7 @@ class TestCheckpoint:
         ("bank", "reservoir_rng", "v2_list"),  # one state per unit, as v2 stored
         ("dense", "in_dim", 0),
         ("dense", "out_dim", True),
+        ("bank", "granularity", 3),
     ])
     def test_header_fields_checked(self, tmp_path, where, field, value):
         # a corrupt header scalar fails on load, naming the field, not at a later step
