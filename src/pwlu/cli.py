@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import load_model, save_checkpoint
 from .data import export_shapes, gen_spirals, load_idx, standardize
-from .errors import ConfigError, PwluError
+from .errors import ConfigError, IdxFormatError, PwluError
 from .kernel import (MIN_BOUNDARY_WIDTH, build_fused, forward_fused, forward_reference,
                      init_pwlu_relu)
 from .layers import ACTIVATIONS, Dense, build_mlp
@@ -184,6 +184,9 @@ def _load_datasets(config: RunConfig):
         images_path, labels_path = config.dataset[4:].split(",", 1)
         full = load_idx(images_path, labels_path)
         n_train = int(full.features.shape[0] * 0.9)
+        if n_train == 0:
+            raise IdxFormatError(f"{images_path}: {full.features.shape[0]} samples, need at "
+                                 f"least 2 for a train and a test split")
         train = dataclasses.replace(full, features=full.features[:n_train],
                                     labels=full.labels[:n_train])
         test = dataclasses.replace(full, features=full.features[n_train:],

@@ -107,7 +107,8 @@ def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
         raise CountMismatchError(
             f"{images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    feats = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+    n, rows, cols = images.shape  # -1 cannot be inferred from a file of 0 images
+    feats = images.reshape(n, rows * cols).astype(np.float64) / 255.0
     return LabeledDataset(feats, labels.astype(np.int64), name="idx")
 
 

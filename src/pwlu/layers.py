@@ -25,7 +25,12 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Store the parameter gradients and return the input gradient.
+
+        With input_grad=False a layer may skip the input gradient and return
+        None; a layer that needs it for its own parameter gradients ignores the flag.
+        """
         raise NotImplementedError
 
     def infer(self, x: np.ndarray) -> np.ndarray:
@@ -62,12 +67,14 @@ class Dense(Layer):
                 f"{self.name}: expected (batch, {self.weight.shape[0]}), got {x.shape}"
             )
         self._x = x
-        return x @ self.weight + self.bias
+        out = x @ self.weight
+        out += self.bias  # in place: the bits of x @ W + b, one temporary fewer
+        return out
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         self.g_weight = self._x.T @ grad_out
         self.g_bias = grad_out.sum(axis=0)
-        return grad_out @ self.weight.T
+        return grad_out @ self.weight.T if input_grad else None
 
 
 class Relu(Layer):
@@ -81,7 +88,7 @@ class Relu(Layer):
         self._mask = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         return grad_out * self._mask
 
 
@@ -100,7 +107,7 @@ class Swish(Layer):
         self._sig = 1.0 / (1.0 + np.exp(-x))
         return x * self._sig
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         s = self._sig
         return grad_out * (s + self._x * s * (1.0 - s))
 
@@ -263,7 +270,8 @@ class PwluActivation(Layer):
         table = fused_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r)
         return self._from_columns(forward_fused(self._to_columns(x), table), x)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
+        # grad_in is always made: the parameter gradients are built from it.
         xc, seg, left, right, edge, slope = self._cache
         up = self._to_columns(grad_out)
         if xc.shape != up.shape:
@@ -382,7 +390,8 @@ def softmax_xent_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     n = probs.shape[0]
     grad = probs.copy()
     grad[np.arange(n), labels] -= 1.0
-    return grad / n
+    grad /= n  # in place: the bits of grad / n, one temporary fewer
+    return grad
 
 
 class Model:
@@ -400,8 +409,9 @@ class Model:
         logits = self.forward(x, training=True)
         loss, probs = softmax_xent_forward(logits, labels)
         grad = softmax_xent_backward(probs, labels)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        # Nothing reads the first layer's input gradient, so it is not made.
+        for i in range(len(self.layers) - 1, -1, -1):
+            grad = self.layers[i].backward(grad, input_grad=i > 0)
         return loss, logits
 
     def step(self, lr, momentum, weight_decay):

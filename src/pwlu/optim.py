@@ -9,10 +9,19 @@ import numpy as np
 
 def sgd_momentum_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
                       lr: float, momentum: float, weight_decay: float) -> None:
-    """In-place heavy-ball update: v <- m*v + g; p <- p - lr*(v + wd*p)."""
+    """In-place heavy-ball update: v <- m*v + g; p <- p - lr*(v + wd*p).
+
+    With wd == 0 the decay term is not formed: p - lr*v has the bits of
+    p - lr*(v + 0*p) for every finite p.  0*p is a zero, so adding it can change
+    only the sign of a zero v, and only where p is +0 or positive; p minus
+    either zero is p there.
+    """
     velocity *= momentum
     velocity += grad
-    param -= lr * (velocity + weight_decay * param)
+    if weight_decay:
+        param -= lr * (velocity + weight_decay * param)
+    else:
+        param -= lr * velocity
 
 
 @dataclass(frozen=True)

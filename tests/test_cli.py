@@ -144,6 +144,20 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: type=IdxFormatError")
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_idx_too_small_to_split_is_runtime_error(self, tmp_path, capsys, samples):
+        # 0 samples failed in a reshape, 1 sample left an empty 90% train split
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">4I", IDX_IMAGES_MAGIC, samples, 1, 2)
+                           + bytes(2 * samples))
+        labels.write_bytes(struct.pack(">2I", IDX_LABELS_MAGIC, samples) + bytes(samples))
+        code = main(["train", "--dataset", f"idx:{images},{labels}", "--arch", "2,4,1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: type=IdxFormatError") and err.count("\n") == 1
+        assert f"{samples} samples, need at least 2" in err
+
     def test_relu_baseline_runs(self, tmp_path, capsys):
         code, out = run_train(tmp_path, extra=["--activation", "relu"])
         assert code == 0

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pwlu.checkpoint import load_checkpoint, load_model, save_checkpoint
 from pwlu.data import gen_spirals, standardize
@@ -27,6 +28,7 @@ from pwlu.layers import (
     Swish,
     bank_views,
     build_mlp,
+    softmax_xent_backward,
     softmax_xent_forward,
 )
 from pwlu.optim import TrainSchedule, sgd_momentum_step
@@ -53,6 +55,56 @@ class TestLayers:
         layer.bias = np.zeros(4)
         x = rng.normal(size=(5, 4))
         np.testing.assert_array_equal(layer.forward(x), x)
+
+    def test_dense_forward_has_the_bits_of_matmul_plus_bias(self):
+        rng = np.random.default_rng(3)
+        layer = Dense(7, 5, rng)
+        layer.bias = rng.normal(size=5)
+        x = rng.normal(size=(9, 7))
+        assert np.array_equal(layer.forward(x), x @ layer.weight + layer.bias)
+
+    def test_dense_backward_without_input_grad(self):
+        rng = np.random.default_rng(4)
+        layer = Dense(6, 3, rng)
+        x, g = rng.normal(size=(8, 6)), rng.normal(size=(8, 3))
+        layer.forward(x)
+        assert layer.backward(g).shape == x.shape
+        g_weight, g_bias = layer.g_weight, layer.g_bias
+        assert layer.backward(g, input_grad=False) is None
+        assert np.array_equal(layer.g_weight, g_weight)
+        assert np.array_equal(layer.g_bias, g_bias)
+
+    @pytest.mark.parametrize("activation", ["relu", "pwlu"])
+    def test_loss_and_backward_skips_only_the_first_input_gradient(self, monkeypatch,
+                                                                   activation):
+        rng = np.random.default_rng(6)
+        model = build_mlp([5, 8, 8, 3], activation, rng, n_intervals=4)
+        x, labels = rng.normal(size=(12, 5)), rng.integers(0, 3, size=12)
+        seen = []
+        for layer in model.layers:
+            def spy(grad, input_grad=True, layer=layer, backward=layer.backward):
+                out = backward(grad, input_grad=input_grad)
+                seen.append((layer.name, input_grad, out is None))
+                return out
+            monkeypatch.setattr(layer, "backward", spy)
+        model.loss_and_backward(x, labels)
+        first = model.layers[0].name
+        assert seen == [(l.name, l.name != first, l.name == first)
+                        for l in reversed(model.layers)]
+        got = [[getattr(l, f"g_{p}") for p in l.params] for l in model.layers]
+
+        # A full backward with every input gradient, from the softmax gradient as grad / n.
+        _, probs = softmax_xent_forward(model.forward(x, training=True), labels)
+        grad = probs.copy()
+        grad[np.arange(12), labels] -= 1.0
+        grad = grad / 12
+        assert np.array_equal(softmax_xent_backward(probs, labels), grad)
+        for layer in reversed(model.layers):
+            grad = layer.backward(grad, input_grad=True)
+        want = [[getattr(l, f"g_{p}") for p in l.params] for l in model.layers]
+        assert all(g is not None for grads in want for g in grads)
+        for g, w in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(g, w))
 
     def test_softmax_xent_uniform(self):
         loss, _ = softmax_xent_forward(np.zeros((3, 7)), np.array([0, 3, 6]))
@@ -102,7 +154,50 @@ class TestLayers:
         np.testing.assert_allclose(g, fd, atol=1e-8)
 
 
+# Finite float64 values, drawn often at the signed zeros, subnormals and +-1e300.
+SGD_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300)
+_edge_grid = np.array(np.meshgrid(SGD_EDGES, SGD_EDGES, SGD_EDGES)).reshape(3, -1)
+
+
+@st.composite
+def sgd_cases(draw):
+    """(param, grad, velocity, lr, momentum): three same-shape finite float64 arrays."""
+    shape = draw(hnp.array_shapes(max_dims=2, max_side=6))
+    value = st.sampled_from(SGD_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+    param, grad, velocity = (draw(hnp.arrays(np.float64, shape, elements=value))
+                             for _ in range(3))
+    lr = draw(st.sampled_from((0.0, 0.1)) | st.floats(0.0, 10.0))
+    momentum = draw(st.sampled_from((0.0, 0.9)) | st.floats(0.0, 1.0))
+    return param, grad, velocity, lr, momentum
+
+
+def old_sgd_step(param, grad, velocity, lr, momentum, weight_decay):
+    """The full formula, decay term always formed, on copies of the arrays."""
+    velocity = velocity * momentum
+    velocity += grad
+    return param - lr * (velocity + weight_decay * param), velocity
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestSgdStep:
+    @settings(deadline=None, max_examples=200)
+    @given(sgd_cases(), st.sampled_from((0.0, 1e-4)) | st.floats(1e-12, 1.0))
+    @example((*_edge_grid, 0.1, 0.9), 0.0)  # every combination of edge values
+    @example((*_edge_grid, 0.0, 0.0), 0.0)
+    def test_bits_of_the_formula_with_the_decay_term(self, case, weight_decay):
+        param, grad, velocity, lr, momentum = case
+        # Large finite values may overflow to inf, and lr = 0 times inf is NaN, on both sides.
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_param, want_velocity = old_sgd_step(param, grad, velocity, lr, momentum,
+                                                     weight_decay)
+            param, velocity = param.copy(), velocity.copy()
+            sgd_momentum_step(param, grad, velocity, lr, momentum, weight_decay)
+        assert same_bits(param, want_param)
+        assert same_bits(velocity, want_velocity)
+
     def test_plain_step(self):
         p = np.array([0.0])
         v = np.zeros(1)
