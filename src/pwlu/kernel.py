@@ -64,7 +64,7 @@ class PwluParams:
                 f"got {self.y_points.shape}"
             )
         width = np.subtract(self.right_boundary, self.left_boundary)
-        bad = np.flatnonzero(~(np.isfinite(width) & (width >= MIN_BOUNDARY_WIDTH)))
+        bad = np.flatnonzero(~wide_enough(width))
         if bad.size:
             u = bad[0]
             lo, hi = np.ravel(self.left_boundary)[u], np.ravel(self.right_boundary)[u]
@@ -73,9 +73,28 @@ class PwluParams:
                 f"{unit}boundary interval [{lo}, {hi}] is degenerate (width {width.ravel()[u]})"
             )
         # A finite width implies finite boundaries.
-        values = (self.left_slope, self.right_slope, self.y_points)
-        if not all(np.isfinite(v).all() for v in values):
-            raise DegenerateParameterError("parameters contain non-finite values")
+        finite = (np.isfinite(self.left_slope) & np.isfinite(self.right_slope)
+                  & np.isfinite(self.y_points).all(axis=-1))
+        bad = np.flatnonzero(~finite)
+        if bad.size:
+            unit = f"unit {bad[0]}: " if shape else ""
+            raise DegenerateParameterError(f"{unit}parameters contain non-finite values")
+
+
+def wide_enough(width):
+    """Which boundary intervals the parameter rule accepts: finite and at least
+    MIN_BOUNDARY_WIDTH wide (NaN and inf fail)."""
+    return np.isfinite(width) & (width >= MIN_BOUNDARY_WIDTH)
+
+
+def parameters_ok(width, values: np.ndarray) -> bool:
+    """The parameter rule as one test over a whole bank.
+
+    Every interval in `width` must be wide enough and every entry of the
+    array `values` finite.  `PwluParams.validate` applies the same rule field
+    by field, to name the first unit that breaks it.
+    """
+    return bool(wide_enough(width).all() and np.isfinite(values).all())
 
 
 @dataclass(eq=False)

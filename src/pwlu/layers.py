@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateParameterError, ShapeMismatchError
-from .kernel import PwluParams, forward_fused, fused_table, init_pwlu_relu, segment_table
+from .kernel import (PwluParams, forward_fused, fused_table, init_pwlu_relu, parameters_ok,
+                     segment_table)
 from .optim import sgd_momentum_step
 from .stats import RESERVOIR_CAPACITY, Reservoir, RunningStats, realign_reset, update_stats
 
@@ -140,7 +141,8 @@ class PwluActivation(Layer):
     a read-only snapshot of them as RunningStats.  `realign` resets the whole
     bank from `running_stats` in one array operation.  A forward keeps what
     backward reads in one tuple, `_cache`: the (elements, U) input columns,
-    the segment indices and outer masks, and each element's edge and slope.
+    the segment indices and outer masks, and each element's edge, its offset
+    x - edge and its slope.
     """
 
     kind = "pwlu"
@@ -156,6 +158,8 @@ class PwluActivation(Layer):
         self.n_channels = n_channels
         self.n_intervals = n_intervals
         self.n_units = n_channels if granularity == "channel" else 1
+        # Unit u's entries in the (U, N+2) segment tables start at flat index u*(N+2).
+        self._starts = np.arange(self.n_units) * (n_intervals + 2)
         self.theta = np.empty((n_intervals + 5, self.n_units))
         self.b_l, self.b_r, self.k_l, self.k_r, self.y = bank_views(self.theta)
         self._write(init_pwlu_relu(n_intervals, half_width, center=np.zeros(self.n_units)))
@@ -202,8 +206,14 @@ class PwluActivation(Layer):
         self.k_l[:], self.k_r[:] = new.left_slope, new.right_slope
 
     def check_params(self) -> None:
-        """Raise DegenerateParameterError for a non-finite parameter or a collapsed interval."""
-        try:  # PwluParams states the rule; it wraps the views of theta without a copy
+        """Raise DegenerateParameterError for a non-finite parameter or a collapsed interval.
+
+        The rule is tested on the views of theta; a PwluParams is built only
+        when it fails, to name the first bad unit.
+        """
+        if parameters_ok(self.b_r - self.b_l, self.theta):
+            return
+        try:  # PwluParams wraps the views of theta without a copy
             PwluParams(self.n_intervals, self.b_l, self.b_r, self.y, self.k_l, self.k_r)
         except DegenerateParameterError as exc:
             raise DegenerateParameterError(f"{self.name}: {exc}") from exc
@@ -237,9 +247,9 @@ class PwluActivation(Layer):
         np.fmax(raw, 0, out=raw)
         seg = np.fmin(raw, n - 1, out=raw).astype(np.int64) + 1
         left, right = xc < self.b_l, xc >= self.b_r
-        seg[left] = 0
-        seg[right] = n + 1
-        seg += np.arange(self.n_units) * (n + 2)
+        np.putmask(seg, left, 0)
+        np.putmask(seg, right, n + 1)
+        seg += self._starts
         return seg, left, right
 
     def _check_channels(self, x):
@@ -259,9 +269,11 @@ class PwluActivation(Layer):
         seg, left, right = self._segments(xc)
         edges, slopes, heights = segment_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r)
         edge, slope = edges.take(seg), slopes.take(seg)
+        offset = xc - edge
         # Backward reads these, not the parameters: step() changes them only after it.
-        self._cache = xc, seg, left, right, edge, slope
-        out = (xc - edge) * slope + heights.take(seg)
+        self._cache = xc, seg, left, right, edge, offset, slope
+        out = offset * slope
+        out += heights.take(seg)  # in place: the bits of (xc - edge) * slope + height
         return self._from_columns(out, x)
 
     def infer(self, x):
@@ -272,7 +284,7 @@ class PwluActivation(Layer):
 
     def backward(self, grad_out, input_grad=True):
         # grad_in is always made: the parameter gradients are built from it.
-        xc, seg, left, right, edge, slope = self._cache
+        xc, seg, left, right, edge, offset, slope = self._cache
         up = self._to_columns(grad_out)
         if xc.shape != up.shape:
             raise ShapeMismatchError(
@@ -281,18 +293,19 @@ class PwluActivation(Layer):
         grad_in = slope * up  # up * slope bit for bit: multiplication commutes
         # step() reads no gradient while frozen, so none is computed or kept.
         self.g_theta = None if self.frozen else self._param_grads(
-            xc, up, grad_in, edge, seg, left, right)
+            xc, up, grad_in, edge, offset, seg, left, right)
         return self._from_columns(grad_in, grad_out)
 
-    def _param_grads(self, xc, up, grad_in, edge, seg, left, right):
-        """The g_theta of one backward's columns; edge is each element's left edge.
+    def _param_grads(self, xc, up, grad_in, edge, offset, seg, left, right):
+        """The g_theta of one backward's columns; edge is each element's left edge
+        and offset its xc - edge.
 
         Each quantity is built in place in a few reused buffers, in the
         operation order of the expression in its comment, so it has that
         expression's bits.
         """
         b_l, b_r = self.b_l, self.b_r
-        n = self.n_intervals
+        n, units = self.n_intervals, self.n_units
         width = b_r - b_l
         d = width / n
         # Flat indices, not masks: a scatter to the outer elements costs less
@@ -308,27 +321,30 @@ class PwluActivation(Layer):
         lower -= xc
         lower *= up
         lower /= d
-        np.subtract(xc, edge, out=moment)
-        moment *= up
+        np.multiply(offset, up, out=moment)
 
-        # Each sum runs over np.where(region, values, 0.0), built in one scratch
-        # buffer: an infinite input must add nothing outside its region, not 0 * inf.
+        # Each outer sum reads only its region's elements, so an infinite input
+        # adds nothing outside it.  bincount adds each unit's values from 0.0 in
+        # element order (the flat indices run row by row; index % U is the unit).
+        left_unit, right_unit = left_at % units, right_at % units
+
+        def outer_sum(values, at, unit):
+            return np.bincount(unit, values.take(at), units)
+
+        g_theta = np.empty_like(self.theta)
+        g_b_l, g_b_r, g_k_l, g_k_r, g_y = bank_views(g_theta)
+        up_l, up_r = outer_sum(up, left_at, left_unit), outer_sum(up, right_at, right_unit)
+        g_k_l[:] = outer_sum(moment, left_at, left_unit)
+        g_k_r[:] = outer_sum(moment, right_at, right_unit)
+
+        # The interval sums run over the whole scratch buffer with the outer
+        # elements set to 0.0: not 0 * inf, which an infinite input would give.
         scratch = np.empty(xc.shape)
-
-        def region_sum(values, at):
-            scratch.fill(0.0)
-            np.put(scratch, at, values.take(at))
-            return scratch.sum(axis=0)
 
         def mid_sum(values):
             np.put(values, outside_at, 0.0)
             return values.sum(axis=0)
 
-        g_theta = np.empty_like(self.theta)
-        g_b_l, g_b_r, g_k_l, g_k_r, g_y = bank_views(g_theta)
-        up_l, up_r = region_sum(up, left_at), region_sum(up, right_at)
-        g_k_l[:] = region_sum(moment, left_at)
-        g_k_r[:] = region_sum(moment, right_at)
         # grad_in * (xc - b_r) / width and grad_in * (b_l - xc) / width in the interval
         np.subtract(xc, b_r, out=scratch)
         scratch *= grad_in
@@ -347,7 +363,7 @@ class PwluActivation(Layer):
         index = np.empty(weights.shape, np.int64)
         index[0] = seg
         np.add(seg, 1, out=index[1])
-        bins = self.n_units * (n + 2)
+        bins = units * (n + 2)
         g_y[:] = np.bincount(index.ravel(), weights=weights.ravel(),
                              minlength=bins)[:bins].reshape(-1, n + 2)[:, 1:]
         g_y[:, 0] += up_l
@@ -360,15 +376,19 @@ class PwluActivation(Layer):
         if self.frozen or self.g_theta is None:
             return
         super().step(lr, momentum, 0.0)
+        b_l, b_r = self.b_l, self.b_r
+        width = b_r - b_l
         # Keep the interval from collapsing under a large boundary step;
         # the floor is relative so it survives large magnitudes.
-        min_width = np.maximum(1e-6, 1e-9 * (np.abs(self.b_l) + np.abs(self.b_r)))
-        narrow = self.b_r - self.b_l < min_width
+        min_width = np.maximum(1e-6, 1e-9 * (np.abs(b_l) + np.abs(b_r)))
+        narrow = width < min_width
         if narrow.any():
-            center = 0.5 * (self.b_l[narrow] + self.b_r[narrow])
-            self.b_l[narrow] = center - 0.5 * min_width[narrow]
-            self.b_r[narrow] = center + 0.5 * min_width[narrow]
-        self.check_params()
+            center = 0.5 * (b_l[narrow] + b_r[narrow])
+            b_l[narrow] = center - 0.5 * min_width[narrow]
+            b_r[narrow] = center + 0.5 * min_width[narrow]
+            width = b_r - b_l
+        if not parameters_ok(width, self.theta):
+            self.check_params()  # raises, naming the first bad unit
 
 
 def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray):

@@ -19,8 +19,8 @@ from pwlu.errors import (
     PwluError,
     ShapeMismatchError,
 )
-from pwlu.kernel import (build_fused, forward_fused, forward_reference, init_pwlu_relu,
-                         interval_index, segment_table)
+from pwlu.kernel import (PwluParams, build_fused, forward_fused, forward_reference,
+                         init_pwlu_relu, interval_index, segment_table)
 from pwlu.kernel import backward as kernel_backward
 from pwlu.layers import (
     Dense,
@@ -440,6 +440,73 @@ class TestPwluBank:
         monkeypatch.setattr("pwlu.layers.sgd_momentum_step", counted)
         layer.step(0.1, 0.9, 0.0)
         assert len(calls) == 1 and calls[0] is layer.theta
+
+    @staticmethod
+    def trained_bank(name="bank"):
+        """A 4-unit bank after one unfrozen forward and backward."""
+        layer = PwluActivation(4, n_intervals=4, name=name)
+        x = np.linspace(-4.0, 4.0, 20).reshape(5, 4)
+        layer.forward(x)
+        layer.backward(np.ones_like(x))
+        return layer
+
+    # Each corrupts unit u: through its gradient, or (finite boundaries whose
+    # width overflows to inf) by setting the boundaries the step leaves as they are.
+    @pytest.mark.parametrize("corrupt", [
+        lambda layer, u: bank_views(layer.g_theta)[4].__setitem__((u, 1), np.nan),
+        lambda layer, u: bank_views(layer.g_theta)[3].__setitem__(u, -np.inf),
+        lambda layer, u: layer.theta[:2].__setitem__((slice(None), u), (-1e308, 1e308)),
+    ], ids=["nan_height", "infinite_outer_slope", "infinite_width"])
+    def test_step_names_the_first_bad_unit(self, corrupt):
+        layer = self.trained_bank(name="act1")
+        for u in (2, 3):
+            corrupt(layer, u)
+        with np.errstate(over="ignore"), \
+                pytest.raises(DegenerateParameterError, match=r"^act1: unit 2: "):
+            layer.step(0.1, 0.9, 0.0)
+
+    def test_healthy_step_builds_no_params(self, monkeypatch):
+        layer = self.trained_bank()
+        built = []
+        post_init = PwluParams.__post_init__
+
+        def counted(params):
+            built.append(params)
+            post_init(params)
+
+        monkeypatch.setattr(PwluParams, "__post_init__", counted)
+        before = layer.theta.copy()
+        layer.step(0.1, 0.9, 0.0)
+        assert not np.array_equal(layer.theta, before)
+        assert built == []
+
+    @pytest.mark.parametrize("granularity,channels", [("layer", 3), ("channel", 5)])
+    def test_outer_slope_partials_add_in_element_order(self, granularity, channels):
+        layer = PwluActivation(channels, n_intervals=4, granularity=granularity)
+        rng = np.random.default_rng(3)
+        x = rng.normal(0.0, 3.0, size=(40, channels))
+        if granularity == "channel":
+            x[:, -1] = rng.uniform(-2.9, 2.9, 40)  # a unit with no outer elements
+        up = rng.normal(size=x.shape)
+        layer.forward(x)
+        layer.backward(up)
+        _, _, g_k_l, g_k_r, _ = bank_views(layer.g_theta)
+        bits = lambda v: np.float64(v).view(np.uint64)
+
+        def fold(xs, ups, edge, outer):
+            total = 0.0
+            for xi, ui in zip(xs.tolist(), ups.tolist()):
+                if outer(xi):
+                    total += (xi - edge) * ui
+            return total
+
+        for u in range(layer.n_units):
+            xs, ups = (x.ravel(), up.ravel()) if granularity == "layer" else (x[:, u], up[:, u])
+            b_l, b_r = float(layer.b_l[u]), float(layer.b_r[u])
+            assert bits(g_k_l[u]) == bits(fold(xs, ups, b_l, lambda v: v < b_l))
+            assert bits(g_k_r[u]) == bits(fold(xs, ups, b_r, lambda v: v >= b_r))
+        if granularity == "channel":
+            assert bits(g_k_l[-1]) == bits(g_k_r[-1]) == bits(0.0)
 
     def test_empty_batch_backward_gives_zero_gradients(self):
         layer = PwluActivation(3, 4)
