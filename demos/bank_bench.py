@@ -1,4 +1,4 @@
-"""Per-layer cost: Dense, ReLU and a trained PWLU bank, forward, backward and step.
+"""Per-layer cost: Dense, ReLU and a PWLU bank, forward, backward and step.
 
 For each shape (batch x channels) it prints the median microseconds of one
 call and the number of C-level calls it makes.  A C call is a `c_call`
@@ -7,6 +7,12 @@ Ufuncs are not builtin functions, so arithmetic on arrays counts nothing;
 the count is the Python-level overhead that dominates small shapes.  The
 Dense layer maps channels to channels, as the one that feeds a bank.  The
 step uses lr 0, so that every repeat steps the same parameters.
+
+The bank is trained (neither frozen nor collecting) for forward, backward and
+step.  Two more rows time the paths that read the bank's kept tables, which
+are built once per parameter write: `frozen-fwd`, the forward of a frozen
+bank that is not collecting (the collect phase), and `infer`, the fused
+inference path (predict and eval).  1024x32 is the spirals predict batch.
 
 Run:  python demos/bank_bench.py
 """
@@ -18,7 +24,7 @@ import numpy as np
 
 from pwlu import Dense, PwluActivation, Relu
 
-SHAPES = ((64, 32), (128, 256))
+SHAPES = ((64, 32), (128, 256), (1024, 32))
 REPEATS = 7  # medians over this many timed runs
 MIN_RUN_SECONDS = 0.02  # each run repeats the call until at least this long
 
@@ -65,19 +71,26 @@ def median_us(fn) -> float:
 
 
 def layer_calls(layer, x):
-    """The layer's forward, backward and step, each ready to call again."""
+    """The layer's forward, backward and step (and a bank's two table readers),
+    each ready to call again."""
     up = np.random.default_rng(1).normal(size=x.shape)
     layer.forward(x, training=True)
     layer.backward(up)
-    return {
+    calls = {
         "forward": lambda: layer.forward(x, training=True),
         "backward": lambda: layer.backward(up),
         "step": lambda: layer.step(0.0, 0.9, 0.0),
     }
+    if isinstance(layer, PwluActivation):
+        frozen = PwluActivation(layer.n_channels, frozen=True)
+        frozen.theta[:] = layer.theta
+        calls["frozen-fwd"] = lambda: frozen.forward(x, training=True)
+        calls["infer"] = lambda: layer.infer(x)
+    return calls
 
 
 def main():
-    print(f"{'shape':>9} {'layer':<5} {'op':<8} {'median us':>10} {'C calls':>8}")
+    print(f"{'shape':>9} {'layer':<5} {'op':<10} {'median us':>10} {'C calls':>8}")
     for batch, channels in SHAPES:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(batch, channels))
@@ -88,7 +101,7 @@ def main():
         }
         for name, layer in layers.items():
             for op, fn in layer_calls(layer, x).items():
-                print(f"{batch:>4}x{channels:<4} {name:<5} {op:<8} "
+                print(f"{batch:>4}x{channels:<4} {name:<5} {op:<10} "
                       f"{median_us(fn):10.1f} {c_calls(fn):8d}")
 
 

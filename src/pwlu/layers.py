@@ -142,7 +142,9 @@ class PwluActivation(Layer):
     bank from `running_stats` in one array operation.  A forward keeps what
     backward reads in one tuple, `_cache`: the (elements, U) input columns,
     the segment indices and outer masks, and each element's edge, its offset
-    x - edge and its slope.
+    x - edge and its slope.  The segment and fused tables are built once per
+    parameter write and kept in `_tables` (see `_table`) for `infer` and the
+    frozen forward; the trained forward builds its own.
     """
 
     kind = "pwlu"
@@ -170,6 +172,7 @@ class PwluActivation(Layer):
                                    seed=seed * 100003, streams=self.n_units)
         self.frozen = frozen
         self._cache = None
+        self._tables = [None, None, None]  # theta's bytes, its segment table, its fused table
 
     @property
     def collecting(self) -> bool:
@@ -217,6 +220,19 @@ class PwluActivation(Layer):
             PwluParams(self.n_intervals, self.b_l, self.b_r, self.y, self.k_l, self.k_r)
         except DegenerateParameterError as exc:
             raise DegenerateParameterError(f"{self.name}: {exc}") from exc
+
+    def _table(self, slot, build):
+        """Table `slot` (1 segment, 2 fused) of theta as it is now, built by `build`.
+
+        The key is theta's bytes, not a flag, so a write through any view is
+        seen, and so is +0.0 made -0.0, which == would miss.
+        """
+        key = self.theta.tobytes()
+        if key != self._tables[0]:
+            self._tables = [key, None, None]
+        if self._tables[slot] is None:
+            self._tables[slot] = build(self.b_l, self.b_r, self.y, self.k_l, self.k_r)
+        return self._tables[slot]
 
     def _to_columns(self, x):
         """Flatten to (elements, units): channel axis last, all else merged."""
@@ -267,7 +283,9 @@ class PwluActivation(Layer):
             self.running_stats = update_stats(self.running_stats, rows)
             self.reservoir.extend(rows)
         seg, left, right = self._segments(xc)
-        edges, slopes, heights = segment_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r)
+        # A trained forward follows a step, so a kept table would never be read.
+        edges, slopes, heights = (self._table(1, segment_table) if self.frozen else
+                                  segment_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r))
         edge, slope = edges.take(seg), slopes.take(seg)
         offset = xc - edge
         # Backward reads these, not the parameters: step() changes them only after it.
@@ -277,9 +295,12 @@ class PwluActivation(Layer):
         return self._from_columns(out, x)
 
     def infer(self, x):
-        """The forward's values from the fused table, within 8 eps; nothing is kept."""
+        """The forward's values from the fused table, within 8 eps; `_cache` is left alone.
+
+        The table is built once per parameter write (see `_table`).
+        """
         self._check_channels(x)
-        table = fused_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r)
+        table = self._table(2, fused_table)
         return self._from_columns(forward_fused(self._to_columns(x), table), x)
 
     def backward(self, grad_out, input_grad=True):

@@ -20,7 +20,7 @@ from pwlu.errors import (
     ShapeMismatchError,
 )
 from pwlu.kernel import (PwluParams, build_fused, forward_fused, forward_reference,
-                         init_pwlu_relu, interval_index, segment_table)
+                         fused_table, init_pwlu_relu, interval_index, segment_table)
 from pwlu.kernel import backward as kernel_backward
 from pwlu.layers import (
     Dense,
@@ -766,6 +766,108 @@ class TestInference:
         # the fused path leaves the training forward's cache alone
         assert all(layer._cache is cache for layer, cache in zip(model.pwlu_layers(), kept))
         np.testing.assert_array_equal(got, model.forward(test.features).argmax(axis=1))
+
+
+class TestBankTables:
+    """The bank keeps its segment and fused tables per parameter write, never stale ones."""
+
+    # (op, frozen): the frozen forward, and infer on a frozen and on a trained bank
+    OPS = [("forward", True), ("infer", True), ("infer", False)]
+    OP_IDS = ["frozen-forward", "frozen-infer", "trained-infer"]
+
+    # In place through each view of theta.  The last turns the +0.0 height y[1, 0]
+    # into -0.0, which == does not see; left of b_l > 0 with k_l = 0 the output does.
+    WRITES = {
+        "b_l": lambda layer: layer.b_l.__setitem__(1, 0.25),
+        "b_r": lambda layer: layer.b_r.__setitem__(2, 5.0),
+        "k_l": lambda layer: layer.k_l.__setitem__(0, 0.5),
+        "k_r": lambda layer: layer.k_r.__setitem__(3, 2.0),
+        "y": lambda layer: layer.y.__setitem__((1, 3), 0.5),
+        "theta": lambda layer: layer.theta.__imul__(1.5),
+        "signed_zero": lambda layer: layer.y.__setitem__((1, 0), -0.0),
+    }
+
+    @staticmethod
+    def bank(frozen):
+        """A collecting 4-unit bank on [0.5, 4.5], and inputs on both sides of it."""
+        layer = PwluActivation(4, n_intervals=4, half_width=2.0, frozen=frozen, collecting=True)
+        layer.b_l[:], layer.b_r[:] = 0.5, 4.5
+        assert not np.signbit(layer.y[1, 0]) and layer.k_l[1] == 0.0
+        return layer, np.linspace(-1.0, 6.0, 40).reshape(10, 4)
+
+    @staticmethod
+    def assert_fresh(layer, op, x):
+        """layer's op on x, checked bit for bit against a new bank given the same theta."""
+        fresh = PwluActivation(layer.n_channels, n_intervals=layer.n_intervals,
+                               granularity=layer.granularity, frozen=layer.frozen)
+        fresh.theta[:] = layer.theta
+        got = getattr(layer, op)(x)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      getattr(fresh, op)(x).view(np.uint64))
+        return got.copy()
+
+    @pytest.mark.parametrize("op, frozen", OPS, ids=OP_IDS)
+    @pytest.mark.parametrize("write", WRITES.values(), ids=WRITES.keys())
+    def test_write_through_a_view_is_seen(self, op, frozen, write):
+        layer, x = self.bank(frozen)
+        before = self.assert_fresh(layer, op, x)
+        write(layer)
+        after = self.assert_fresh(layer, op, x)
+        assert not np.array_equal(after.view(np.uint64), before.view(np.uint64))
+
+    @pytest.mark.parametrize("op, frozen", OPS, ids=OP_IDS)
+    def test_realign_and_trained_step_are_seen(self, op, frozen):
+        layer, x = self.bank(frozen=True)
+        layer.forward(x, training=True)  # statistics for realign
+        layer.frozen = frozen
+        before = self.assert_fresh(layer, op, x)
+        layer.realign()
+        layer.frozen = frozen
+        realigned = self.assert_fresh(layer, op, x)
+        layer.frozen = False
+        layer.forward(x)
+        layer.backward(np.ones_like(x))
+        layer.step(0.1, 0.9, 0.0)
+        layer.frozen = frozen
+        stepped = self.assert_fresh(layer, op, x)
+        for a, b in ((before, realigned), (realigned, stepped)):
+            assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("op, frozen", OPS, ids=OP_IDS)
+    def test_loaded_model_is_seen(self, tmp_path, op, frozen):
+        train = gen_spirals(60, 0.05, 1)
+        model = build_mlp([2, 6, 2], "pwlu", np.random.default_rng(0), n_intervals=4,
+                          pwlu_frozen=True, pwlu_collecting=True)
+        sched = TrainSchedule(total_iterations=30, realign_iteration=10, base_lr=0.1, seed=0)
+        trainer = Trainer(model, sched, train.features, train.labels, batch_size=16)
+        trainer.run()
+        save_checkpoint(tmp_path / "m.bin", trainer)
+        layer = load_model(tmp_path / "m.bin").pwlu_layers()[0]
+        layer.frozen = frozen
+        x = np.random.default_rng(3).normal(size=(12, 6)) * 2.0
+        before = self.assert_fresh(layer, op, x)
+        np.testing.assert_array_equal(before, getattr(model.layers[1], op)(x))
+        layer.theta *= 1.5
+        assert not np.array_equal(self.assert_fresh(layer, op, x), before)
+
+    def test_tables_are_built_once_per_write(self, monkeypatch):
+        built = []
+        for name, build in (("segment_table", segment_table), ("fused_table", fused_table)):
+            def counted(*args, name=name, build=build):
+                built.append(name)
+                return build(*args)
+            monkeypatch.setattr(f"pwlu.layers.{name}", counted)
+        layer, x = self.bank(frozen=True)
+        for _ in range(5):
+            layer.forward(x)
+        assert built == ["segment_table"]
+        for _ in range(5):
+            layer.infer(x)
+        assert built == ["segment_table", "fused_table"]
+        layer.frozen = False  # a trained forward runs after a step: it builds its own
+        for _ in range(5):
+            layer.forward(x)
+        assert built == ["segment_table", "fused_table"] + ["segment_table"] * 5
 
 
 class TestEndToEndGradients:
