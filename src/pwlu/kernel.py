@@ -231,13 +231,22 @@ def segment_table(b_l, b_r, y, k_l, k_r):
     (..., N+1); each result has shape (..., N+2).  Segment 0 lies left of the
     boundary interval, 1..N are the interior segments and N+1 lies right of
     it, so x in segment j evaluates to (x - edge_j) * slope_j + height_j.
+
+    The three are views of one fresh (3, ..., N+2) array.  Its slices are
+    written in the operation order of b_l + arange(N) * d, diff(y) / d and
+    (y_0, y_0, ..., y_N), so they have those expressions' bits.
     """
     n = y.shape[-1] - 1
-    b_l, b_r, k_l, k_r = (np.asarray(v)[..., None] for v in (b_l, b_r, k_l, k_r))
-    d = (b_r - b_l) / n
-    edges = np.concatenate((b_l, b_l + np.arange(n) * d, b_r), axis=-1)
-    slopes = np.concatenate((k_l, np.diff(y) / d, k_r), axis=-1)
-    heights = np.concatenate((y[..., :1], y[..., :-1], y[..., n:]), axis=-1)
+    table = np.empty((3,) + y.shape[:-1] + (n + 2,))
+    edges, slopes, heights = table
+    edges[..., 0], edges[..., n + 1] = b_l, b_r
+    # b_l and d as (..., 1) columns, read back from the table: no asarray of a scalar
+    b_l = edges[..., :1]
+    d = (edges[..., n + 1:] - b_l) / n
+    edges[..., 1:n + 1] = b_l + np.arange(n) * d
+    slopes[..., 0], slopes[..., n + 1] = k_l, k_r
+    slopes[..., 1:n + 1] = (y[..., 1:] - y[..., :-1]) / d
+    heights[..., 1:], heights[..., 0] = y, y[..., 0]
     return edges, slopes, heights
 
 
@@ -288,9 +297,11 @@ def forward_fused(x, table: FusedPwluTable) -> np.ndarray:
     start = (n + 2) * np.arange(table.slopes.size // (n + 2)).reshape(table.slopes.shape[:-1])
     idx = raw.astype(np.int64)
     idx += start + 1
-    out = table.slopes.take(idx)
+    # The clamp keeps idx in range, so "clip" changes no index; the default
+    # mode ("raise") would buffer the take into out= in a temporary.
+    out = table.slopes.take(idx, mode="clip")
     out *= x
-    out += table.offsets.take(idx, out=raw)
+    out += table.offsets.take(idx, out=raw, mode="clip")
     return out
 
 

@@ -141,10 +141,14 @@ class PwluActivation(Layer):
     a read-only snapshot of them as RunningStats.  `realign` resets the whole
     bank from `running_stats` in one array operation.  A forward keeps what
     backward reads in one tuple, `_cache`: the (elements, U) input columns,
-    the segment indices and outer masks, and each element's edge, its offset
-    x - edge and its slope.  The segment and fused tables are built once per
-    parameter write and kept in `_tables` (see `_table`) for `infer` and the
-    frozen forward; the trained forward builds its own.
+    the segment index, the outer masks, each element's edge, its offset
+    x - edge and its slope, and the (U,) width b_r - b_l and interval length
+    d.  A training forward of a trained bank writes the segment index into
+    plane 0 of a (2, elements, U) index pair, whose plane 1 the backward
+    fills with the upper height's index; any other forward keeps the
+    (elements, U) index alone.  The segment and fused tables are built once
+    per parameter write and kept in `_tables` (see `_table`) for `infer` and
+    the frozen forward; the trained forward builds its own.
     """
 
     kind = "pwlu"
@@ -160,8 +164,9 @@ class PwluActivation(Layer):
         self.n_channels = n_channels
         self.n_intervals = n_intervals
         self.n_units = n_channels if granularity == "channel" else 1
-        # Unit u's entries in the (U, N+2) segment tables start at flat index u*(N+2).
-        self._starts = np.arange(self.n_units) * (n_intervals + 2)
+        # Unit u's entries in the (U, N+2) segment tables start at flat index u*(N+2),
+        # its left outer segment; its interior segment 1 is one further.
+        self._starts1 = np.arange(self.n_units) * (n_intervals + 2) + 1
         self.theta = np.empty((n_intervals + 5, self.n_units))
         self.b_l, self.b_r, self.k_l, self.k_r, self.y = bank_views(self.theta)
         self._write(init_pwlu_relu(n_intervals, half_width, center=np.zeros(self.n_units)))
@@ -243,30 +248,35 @@ class PwluActivation(Layer):
         return np.moveaxis(x, 1, -1).reshape(-1, self.n_channels)
 
     def _from_columns(self, cols, like):
+        if cols.shape == like.shape:  # (batch, channels): the columns are the tensor
+            return cols
         if self.granularity == "layer" or like.ndim == 2:
             return cols.reshape(like.shape)
         moved_shape = like.shape[:1] + like.shape[2:] + (self.n_channels,)
         return np.moveaxis(cols.reshape(moved_shape), -1, 1)
 
-    def _segments(self, xc):
-        """Extended segment of every element of xc (elements, units).
+    def _segments(self, xc, d, seg):
+        """Extended segment of every element of xc (elements, units), d the (U,) interval length.
 
-        Returns its flat index into the (U, N+2) segment tables and the masks
-        of elements left and right of the interval, which set the outer segments.
+        Writes its flat index into the (U, N+2) segment tables to seg, an
+        int64 array of xc's shape, and returns the masks of elements left and
+        right of the interval, which set the outer segments.
         """
         n = self.n_intervals
-        raw = (xc - self.b_l) / ((self.b_r - self.b_l) / n)
+        raw = xc - self.b_l
+        raw /= d
         # Non-finite inputs (diverged upstream weights) must not crash the
         # index gather: fmax sends NaN and -inf to 0, fmin +inf to N-1.  The
         # output stays non-finite and the trainer's loss check names the layer.
         np.floor(raw, out=raw)
         np.fmax(raw, 0, out=raw)
-        seg = np.fmin(raw, n - 1, out=raw).astype(np.int64) + 1
+        np.fmin(raw, n - 1, out=raw)
+        seg[...] = raw  # whole numbers: the cast truncates nothing
         left, right = xc < self.b_l, xc >= self.b_r
-        np.putmask(seg, left, 0)
-        np.putmask(seg, right, n + 1)
-        seg += self._starts
-        return seg, left, right
+        np.putmask(seg, left, -1)
+        np.putmask(seg, right, n)
+        seg += self._starts1
+        return left, right
 
     def _check_channels(self, x):
         if self.granularity == "channel" and (x.ndim < 2 or x.shape[1] != self.n_channels):
@@ -282,14 +292,21 @@ class PwluActivation(Layer):
             rows = np.ascontiguousarray(xc.T)
             self.running_stats = update_stats(self.running_stats, rows)
             self.reservoir.extend(rows)
-        seg, left, right = self._segments(xc)
+        width = self.b_r - self.b_l
+        d = width / self.n_intervals
+        if training and not self.frozen:  # a trained backward follows: it fills plane 1
+            index = np.empty((2,) + xc.shape, np.int64)
+            seg = index[0]
+        else:
+            seg = index = np.empty(xc.shape, np.int64)
+        left, right = self._segments(xc, d, seg)
         # A trained forward follows a step, so a kept table would never be read.
         edges, slopes, heights = (self._table(1, segment_table) if self.frozen else
                                   segment_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r))
         edge, slope = edges.take(seg), slopes.take(seg)
         offset = xc - edge
         # Backward reads these, not the parameters: step() changes them only after it.
-        self._cache = xc, seg, left, right, edge, offset, slope
+        self._cache = xc, index, left, right, edge, offset, slope, width, d
         out = offset * slope
         out += heights.take(seg)  # in place: the bits of (xc - edge) * slope + height
         return self._from_columns(out, x)
@@ -305,7 +322,7 @@ class PwluActivation(Layer):
 
     def backward(self, grad_out, input_grad=True):
         # grad_in is always made: the parameter gradients are built from it.
-        xc, seg, left, right, edge, offset, slope = self._cache
+        xc, index, left, right, edge, offset, slope, width, d = self._cache
         up = self._to_columns(grad_out)
         if xc.shape != up.shape:
             raise ShapeMismatchError(
@@ -314,30 +331,31 @@ class PwluActivation(Layer):
         grad_in = slope * up  # up * slope bit for bit: multiplication commutes
         # step() reads no gradient while frozen, so none is computed or kept.
         self.g_theta = None if self.frozen else self._param_grads(
-            xc, up, grad_in, edge, offset, seg, left, right)
+            xc, up, grad_in, index, left, right, edge, offset, width, d)
         return self._from_columns(grad_in, grad_out)
 
-    def _param_grads(self, xc, up, grad_in, edge, offset, seg, left, right):
-        """The g_theta of one backward's columns; edge is each element's left edge
-        and offset its xc - edge.
+    def _param_grads(self, xc, up, grad_in, index, left, right, edge, offset, width, d):
+        """The g_theta of one backward's columns, from the forward's `_cache`.
 
         Each quantity is built in place in a few reused buffers, in the
         operation order of the expression in its comment, so it has that
         expression's bits.
         """
-        b_l, b_r = self.b_l, self.b_r
         n, units = self.n_intervals, self.n_units
-        width = b_r - b_l
-        d = width / n
+        if index.ndim == 2:  # the forward kept the segment index alone
+            index = np.stack((index, index))
         # Flat indices, not masks: a scatter to the outer elements costs less
         # than a masked pass over all of them, even when half lie outside.
-        left_at, right_at = np.flatnonzero(left), np.flatnonzero(right)
-        outside_at = np.concatenate((left_at, right_at))
-        # weights[0] is each element's lower height weight, up * (edge + d - xc) / d,
-        # and weights[1] its upper one, moment / d, where moment = up * (xc - edge)
-        # is also the outer slope partial.
-        weights = np.empty((2,) + xc.shape)
-        lower, moment = weights
+        outside_at = (left | right).ravel().nonzero()[0]
+        # Outer bin u is unit u's left region, bin U + u its right one.
+        outer_bin = outside_at % units
+        outer_bin += units * right.take(outside_at)
+        # planes[0] is each element's lower height weight, up * (edge + d - xc) / d,
+        # and planes[1] its upper one, moment / d, where moment = up * (xc - edge)
+        # is also the outer slope partial; planes[2:] are its interval terms of
+        # g_b_l and g_b_r.
+        planes = np.empty((4,) + xc.shape)
+        lower, moment, mid_l, mid_r = planes
         np.add(edge, d, out=lower)
         lower -= xc
         lower *= up
@@ -345,50 +363,37 @@ class PwluActivation(Layer):
         np.multiply(offset, up, out=moment)
 
         # Each outer sum reads only its region's elements, so an infinite input
-        # adds nothing outside it.  bincount adds each unit's values from 0.0 in
+        # adds nothing outside it.  bincount adds each bin's values from 0.0 in
         # element order (the flat indices run row by row; index % U is the unit).
-        left_unit, right_unit = left_at % units, right_at % units
-
-        def outer_sum(values, at, unit):
-            return np.bincount(unit, values.take(at), units)
-
         g_theta = np.empty_like(self.theta)
-        g_b_l, g_b_r, g_k_l, g_k_r, g_y = bank_views(g_theta)
-        up_l, up_r = outer_sum(up, left_at, left_unit), outer_sum(up, right_at, right_unit)
-        g_k_l[:] = outer_sum(moment, left_at, left_unit)
-        g_k_r[:] = outer_sum(moment, right_at, right_unit)
-
-        # The interval sums run over the whole scratch buffer with the outer
-        # elements set to 0.0: not 0 * inf, which an infinite input would give.
-        scratch = np.empty(xc.shape)
-
-        def mid_sum(values):
-            np.put(values, outside_at, 0.0)
-            return values.sum(axis=0)
+        g_y = bank_views(g_theta)[4]
+        up_outer = np.bincount(outer_bin, up.take(outside_at), 2 * units)
+        g_theta[2:4] = np.bincount(outer_bin, moment.take(outside_at),
+                                   2 * units).reshape(2, units)
 
         # grad_in * (xc - b_r) / width and grad_in * (b_l - xc) / width in the interval
-        np.subtract(xc, b_r, out=scratch)
-        scratch *= grad_in
-        scratch /= width
-        g_b_l[:] = (-self.k_l) * up_l + mid_sum(scratch)
-        np.subtract(b_l, xc, out=scratch)
-        scratch *= grad_in
-        scratch /= width
-        g_b_r[:] = (-self.k_r) * up_r + mid_sum(scratch)
+        np.subtract(xc, self.b_r, out=mid_l)
+        np.subtract(self.b_l, xc, out=mid_r)
+        mid = planes[2:]
+        mid *= grad_in
+        mid /= width
+        moment /= d
+        # The sums run over whole planes with the outer elements set to 0.0:
+        # not 0 * inf, which an infinite input would give.
+        planes.reshape(4, -1)[:, outside_at] = 0.0
+        # -k_l * up_l + (interval sum) and -k_r * up_r + (interval sum)
+        g_theta[:2] = (-self.theta[2:4]) * up_outer.reshape(2, units) \
+            + np.add.reduce(mid, axis=1)
 
         # Height j of unit u is bin u*(N+2) + j + 1: an element's lower height is
         # its table index, its upper height the next (outer elements add zeros).
         # bincount adds in input order, all lower weights first, so runs sum alike.
-        moment /= d
-        weights.reshape(2, -1)[:, outside_at] = 0.0
-        index = np.empty(weights.shape, np.int64)
-        index[0] = seg
-        np.add(seg, 1, out=index[1])
+        np.add(index[0], 1, out=index[1])
         bins = units * (n + 2)
-        g_y[:] = np.bincount(index.ravel(), weights=weights.ravel(),
+        g_y[:] = np.bincount(index.ravel(), weights=planes[:2].ravel(),
                              minlength=bins)[:bins].reshape(-1, n + 2)[:, 1:]
-        g_y[:, 0] += up_l
-        g_y[:, n] += up_r
+        g_y[:, 0] += up_outer[:units]
+        g_y[:, n] += up_outer[units:]
         return g_theta
 
     def step(self, lr, momentum, weight_decay):
@@ -396,14 +401,14 @@ class PwluActivation(Layer):
         # would bias every learned shape toward the zero function.
         if self.frozen or self.g_theta is None:
             return
-        super().step(lr, momentum, 0.0)
+        sgd_momentum_step(self.theta, self.g_theta, self.v_theta, lr, momentum, 0.0)
         b_l, b_r = self.b_l, self.b_r
         width = b_r - b_l
         # Keep the interval from collapsing under a large boundary step;
         # the floor is relative so it survives large magnitudes.
-        min_width = np.maximum(1e-6, 1e-9 * (np.abs(b_l) + np.abs(b_r)))
-        narrow = width < min_width
-        if narrow.any():
+        min_width = np.maximum(1e-6, 1e-9 * np.abs(self.theta[:2]).sum(axis=0))
+        if not (width >= min_width).all():  # some width is narrow, or NaN
+            narrow = width < min_width
             center = 0.5 * (b_l[narrow] + b_r[narrow])
             b_l[narrow] = center - 0.5 * min_width[narrow]
             b_r[narrow] = center + 0.5 * min_width[narrow]

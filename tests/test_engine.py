@@ -403,7 +403,8 @@ class TestPwluBank:
         layer, x, _ = bank
         n = layer.n_intervals
         xc = layer._to_columns(np.concatenate([x, np.full((1,) + x.shape[1:], np.nan)]))
-        seg, left, right = layer._segments(xc)
+        seg = np.empty(xc.shape, np.int64)
+        left, right = layer._segments(xc, (layer.b_r - layer.b_l) / n, seg)
         for u, p in enumerate(layer.units):
             col = xc[:, u]
             want_left, want_right = col < p.left_boundary, col >= p.right_boundary
@@ -411,6 +412,30 @@ class TestPwluBank:
             np.testing.assert_array_equal(left[:, u], want_left)
             np.testing.assert_array_equal(right[:, u], want_right)
             np.testing.assert_array_equal(seg[:, u], want + u * (n + 2))
+
+    @staticmethod
+    def concatenated_segment_table(b_l, b_r, y, k_l, k_r):
+        """The segment table as three concatenates: the formula the kept one must match."""
+        n = y.shape[-1] - 1
+        b_l, b_r, k_l, k_r = (np.asarray(v)[..., None] for v in (b_l, b_r, k_l, k_r))
+        d = (b_r - b_l) / n
+        edges = np.concatenate((b_l, b_l + np.arange(n) * d, b_r), axis=-1)
+        slopes = np.concatenate((k_l, np.diff(y) / d, k_r), axis=-1)
+        heights = np.concatenate((y[..., :1], y[..., :-1], y[..., n:]), axis=-1)
+        return edges, slopes, heights
+
+    @settings(deadline=None, max_examples=60)
+    @given(banks())
+    def test_segment_table_has_the_bits_of_the_concatenate_formula(self, bank):
+        layer, _, _ = bank
+        views = (layer.b_l, layer.b_r, layer.y, layer.k_l, layer.k_r)
+        # the bank, then each unit alone as Python floats, as build_fused passes them
+        cases = [views] + [(p.left_boundary, p.right_boundary, p.y_points, p.left_slope,
+                            p.right_slope) for p in layer.units]
+        for args in cases:
+            for got, want in zip(segment_table(*args), self.concatenated_segment_table(*args)):
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen"])
     def test_forward_and_backward_build_one_segment_table(self, monkeypatch, frozen):
