@@ -1,12 +1,14 @@
 """Per-layer cost: Dense, ReLU and a PWLU bank, forward, backward and step.
 
 For each shape (batch x channels) it prints the median microseconds of one
-call and the number of C-level calls it makes.  A C call is a `c_call`
-event of `sys.setprofile`: a builtin function or method called from Python.
-Ufuncs are not builtin functions, so arithmetic on arrays counts nothing;
-the count is the Python-level overhead that dominates small shapes.  The
-Dense layer maps channels to channels, as the one that feeds a bank.  The
-step uses lr 0, so that every repeat steps the same parameters.
+call and the number of calls it makes.  A call is a call instruction run in
+a frame of the `pwlu` package (`calls`): a numpy function, ufunc, method or
+package function called from the package's own code, whatever numpy
+implements it in.  What runs inside numpy, or inside operators such as
+`a - b`, is not counted, so the count is the Python-level overhead that
+dominates small shapes.  The Dense layer maps channels to channels, as the
+one that feeds a bank.  The step uses lr 0, so that every repeat steps the
+same parameters.
 
 The bank is trained (neither frozen nor collecting) for forward, backward and
 step.  Two more rows time the paths that read the bank's kept tables, which
@@ -17,37 +19,49 @@ inference path (predict and eval).  1024x32 is the spirals predict batch.
 Run:  python demos/bank_bench.py
 """
 
+import dis
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import pwlu
 from pwlu import Dense, PwluActivation, Relu
 
 SHAPES = ((64, 32), (128, 256), (1024, 32))
 REPEATS = 7  # medians over this many timed runs
 MIN_RUN_SECONDS = 0.02  # each run repeats the call until at least this long
 
+PACKAGE = str(Path(pwlu.__file__).resolve().parent)
+# The call instructions of every CPython version since 3.10.
+CALL_OPS = {dis.opmap[name] for name in ("CALL", "CALL_KW", "CALL_FUNCTION", "CALL_METHOD",
+                                         "CALL_FUNCTION_KW", "CALL_FUNCTION_EX")
+            if name in dis.opmap}
 
-def c_calls(fn) -> int:
-    """C-level calls made by fn(), without the profiler's own."""
+
+def calls(fn) -> int:
+    """Call instructions run in pwlu frames while fn() runs (fn itself lies outside)."""
     count = 0
 
-    def profile(frame, event, arg):
+    def instructions(frame, event, arg):
         nonlocal count
-        count += event == "c_call"
+        if event == "opcode" and frame.f_code.co_code[frame.f_lasti] in CALL_OPS:
+            count += 1
+        return instructions
 
-    def counted(f):
-        nonlocal count
-        count = 0
-        sys.setprofile(profile)
-        try:
-            f()
-        finally:
-            sys.setprofile(None)
-        return count
+    def on_call(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(PACKAGE):
+            return None
+        frame.f_trace_opcodes = True
+        return instructions
 
-    return counted(fn) - counted(lambda: None)
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return count
 
 
 def median_us(fn) -> float:
@@ -90,7 +104,7 @@ def layer_calls(layer, x):
 
 
 def main():
-    print(f"{'shape':>9} {'layer':<5} {'op':<10} {'median us':>10} {'C calls':>8}")
+    print(f"{'shape':>9} {'layer':<5} {'op':<10} {'median us':>10} {'calls':>8}")
     for batch, channels in SHAPES:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(batch, channels))
@@ -102,7 +116,7 @@ def main():
         for name, layer in layers.items():
             for op, fn in layer_calls(layer, x).items():
                 print(f"{batch:>4}x{channels:<4} {name:<5} {op:<10} "
-                      f"{median_us(fn):10.1f} {c_calls(fn):8d}")
+                      f"{median_us(fn):10.1f} {calls(fn):8d}")
 
 
 if __name__ == "__main__":

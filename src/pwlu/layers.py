@@ -1,11 +1,14 @@
 """Minimal dense-tensor layers: linear, fixed activations, and the PWLU bank.
 
 Tensors are plain float64 numpy arrays.  Every layer caches what its own
-backward pass needs; backward returns the input gradient and stores the
-parameter gradients on the layer for the optimizer step.
+backward pass needs; backward returns the input gradient and writes the
+parameter gradients into the layer's gradient arrays for the optimizer step.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -17,11 +20,24 @@ from .stats import RESERVOIR_CAPACITY, Reservoir, RunningStats, realign_reset, u
 
 
 class Layer:
+    """One layer of a `Model`.
+
+    A layer with trained arrays keeps them, their gradients and their
+    velocities in rows 0, 1 and 2 of one (3, size) block (`_bind`).  A
+    constructor's `block` argument, a zero array, is the block to use, as
+    `build_mlp` gives each layer a slice of the model's; by default the
+    layer makes its own.
+    """
+
     # The type name: the checkpoint manifest's `type` and, for an activation, `build_mlp`'s.
     kind = ""
     # Trained arrays, each with a gradient g_<name> and a velocity v_<name>;
     # the optimizer step and the checkpoint both read this list.
     params: tuple[str, ...] = ()
+    # Whether the optimizer's weight decay applies to the trained arrays.
+    decays = True
+    # Whether a step updates the trained arrays (a layer with none has nothing to update).
+    trains = True
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -38,11 +54,42 @@ class Layer:
         """Inference output; equal to the forward unless a layer has a faster form."""
         return self.forward(x)
 
+    def _own_block(self, block=None) -> None:
+        """Move the trained arrays into row 0 of `block`, a zero (3, size) array (a
+        new one by default), and bind them, their gradients and velocities to it."""
+        if block is None:
+            block = np.zeros((3, sum(getattr(self, name).size for name in self.params)))
+        np.concatenate([getattr(self, name).ravel() for name in self.params], out=block[0])
+        self._bind(block)
+
+    def _bind(self, block) -> None:
+        """Rebind the trained arrays, their g_ and their v_ as views of rows 0, 1
+        and 2 of `block`, in `params` order; `Model` binds every layer to a slice
+        of its own block."""
+        self._block = block
+        start = 0
+        for name in self.params:
+            shape = getattr(self, name).shape
+            end = start + math.prod(shape)
+            views = block[:, start:end].reshape((3,) + shape)
+            for prefix, view in zip(("", "g_", "v_"), views):
+                setattr(self, prefix + name, view)
+            start = end
+
+    def _after_step(self) -> None:
+        """Whatever the layer's parameters need after an update; nothing by default."""
+
     def step(self, lr: float, momentum: float, weight_decay: float) -> None:
-        """Apply one SGD-with-momentum update to this layer's parameters."""
-        for p in self.params:
-            sgd_momentum_step(getattr(self, p), getattr(self, f"g_{p}"), getattr(self, f"v_{p}"),
-                              lr, momentum, weight_decay)
+        """Apply one SGD-with-momentum update to this layer's parameters alone.
+
+        `Model.step` does the same for all its layers in fewer calls.
+        """
+        if self.trains:
+            decay = weight_decay if self.decays else 0.0
+            for p in self.params:
+                sgd_momentum_step(getattr(self, p), getattr(self, f"g_{p}"),
+                                  getattr(self, f"v_{p}"), lr, momentum, decay)
+            self._after_step()
 
 
 class Dense(Layer):
@@ -51,15 +98,13 @@ class Dense(Layer):
     kind = "dense"
     params = ("weight", "bias")
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "dense"):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "dense",
+                 block: np.ndarray | None = None):
         self.name = name
         self.weight = rng.normal(0.0, np.sqrt(2.0 / in_dim), size=(in_dim, out_dim))
         self.in_dim, self.out_dim = self.weight.shape
         self.bias = np.zeros(out_dim)
-        self.v_weight = np.zeros_like(self.weight)
-        self.v_bias = np.zeros_like(self.bias)
-        self.g_weight = np.zeros_like(self.weight)
-        self.g_bias = np.zeros_like(self.bias)
+        self._own_block(block)
         self._x = None
 
     def forward(self, x, training=False):
@@ -73,8 +118,9 @@ class Dense(Layer):
         return out
 
     def backward(self, grad_out, input_grad=True):
-        self.g_weight = self._x.T @ grad_out
-        self.g_bias = grad_out.sum(axis=0)
+        # Into the gradient views: the bits of x.T @ grad_out and grad_out.sum(axis=0)
+        np.matmul(self._x.T, grad_out, out=self.g_weight)
+        np.add.reduce(grad_out, axis=0, out=self.g_bias)
         return grad_out @ self.weight.T if input_grad else None
 
 
@@ -134,7 +180,12 @@ class PwluActivation(Layer):
     The parameters of all units are stored once, in one (N+5, U) array
     `theta`; b_l, b_r, k_l, k_r (U,) and y (U, N+1) are views of it
     (`bank_views`), written in place, never rebound.  `v_theta` and `g_theta`
-    share its layout; `g_theta` is None until an unfrozen backward.  `units`
+    share its layout; in a `Model` all three are views of the model's buffers,
+    updated in the model's one optimizer call.  `g_theta` is None until an
+    unfrozen backward, which writes the bank's gradient view and names it.
+    After an update `_after_step` keeps the intervals above their floor and
+    checks the parameter rule, in full only when `within_floor_and_rule`,
+    four array operations, cannot show that nothing needs doing.  `units`
     is a read-only snapshot of the parameters as one-unit PwluParams.  The
     statistics are over units too: `running_stats`, with (U,) mean and std,
     and the U streams of `reservoir`, which share one generator; `stats` is
@@ -153,10 +204,11 @@ class PwluActivation(Layer):
 
     kind = "pwlu"
     params = ("theta",)
+    decays = False
 
     def __init__(self, n_channels: int, n_intervals: int = 16, granularity: str = "channel",
                  half_width: float = 3.0, frozen: bool = False, collecting: bool = False,
-                 seed: int = 0, name: str = "pwlu"):
+                 seed: int = 0, name: str = "pwlu", block: np.ndarray | None = None):
         if granularity not in ("channel", "layer"):
             raise ValueError(f"granularity must be 'channel' or 'layer', got {granularity!r}")
         self.name = name
@@ -168,16 +220,30 @@ class PwluActivation(Layer):
         # its left outer segment; its interior segment 1 is one further.
         self._starts1 = np.arange(self.n_units) * (n_intervals + 2) + 1
         self.theta = np.empty((n_intervals + 5, self.n_units))
-        self.b_l, self.b_r, self.k_l, self.k_r, self.y = bank_views(self.theta)
-        self._write(init_pwlu_relu(n_intervals, half_width, center=np.zeros(self.n_units)))
-        self.v_theta = np.zeros_like(self.theta)
         self.g_theta = None
+        # theta's values are written next
+        self._bind(np.zeros((3, self.theta.size)) if block is None else block)
+        self._write(init_pwlu_relu(n_intervals, half_width, center=np.zeros(self.n_units)))
         self.running_stats = RunningStats(np.zeros(self.n_units), np.ones(self.n_units))
         self.reservoir = Reservoir(RESERVOIR_CAPACITY if collecting else 0,
                                    seed=seed * 100003, streams=self.n_units)
         self.frozen = frozen
         self._cache = None
         self._tables = [None, None, None]  # theta's bytes, its segment table, its fused table
+
+    def _bind(self, block):
+        trained = self.g_theta is not None
+        super()._bind(block)
+        self.b_l, self.b_r, self.k_l, self.k_r, self.y = bank_views(self.theta)
+        # What a trained backward writes; g_theta names it only from then on.
+        self._grad = self.g_theta
+        if not trained:
+            self.g_theta = None
+
+    @property
+    def trains(self) -> bool:
+        """A frozen bank, or one with no gradient yet, is left as it is by a step."""
+        return not self.frozen and self.g_theta is not None
 
     @property
     def collecting(self) -> bool:
@@ -365,7 +431,7 @@ class PwluActivation(Layer):
         # Each outer sum reads only its region's elements, so an infinite input
         # adds nothing outside it.  bincount adds each bin's values from 0.0 in
         # element order (the flat indices run row by row; index % U is the unit).
-        g_theta = np.empty_like(self.theta)
+        g_theta = self._grad  # every entry is written below
         g_y = bank_views(g_theta)[4]
         up_outer = np.bincount(outer_bin, up.take(outside_at), 2 * units)
         g_theta[2:4] = np.bincount(outer_bin, moment.take(outside_at),
@@ -396,12 +462,14 @@ class PwluActivation(Layer):
         g_y[:, n] += up_outer[units:]
         return g_theta
 
-    def step(self, lr, momentum, weight_decay):
-        # Unit parameters never receive weight decay; decaying the heights
-        # would bias every learned shape toward the zero function.
-        if self.frozen or self.g_theta is None:
-            return
-        sgd_momentum_step(self.theta, self.g_theta, self.v_theta, lr, momentum, 0.0)
+    def _after_step(self):
+        # Unit parameters never receive weight decay (`decays`); decaying the
+        # heights would bias every learned shape toward the zero function.
+        if not within_floor_and_rule(self.theta):
+            self._floor_and_check()
+
+    def _floor_and_check(self):
+        """Widen every interval narrower than its floor, then apply the parameter rule."""
         b_l, b_r = self.b_l, self.b_r
         width = b_r - b_l
         # Keep the interval from collapsing under a large boundary step;
@@ -415,6 +483,22 @@ class PwluActivation(Layer):
             width = b_r - b_l
         if not parameters_ok(width, self.theta):
             self.check_params()  # raises, naming the first bad unit
+
+
+def within_floor_and_rule(theta: np.ndarray) -> bool:
+    """A test of a bank's (N+5, U) parameters in three reductions and one
+    subtraction that implies `_floor_and_check` would change and raise nothing.
+
+    Every entry lies in [lo, hi], and hi - lo is finite, so both are and no
+    width overflows.  Each unit's floor max(1e-6, 1e-9 * (|b_l| + |b_r|)) is
+    at most max(1e-6, 2e-9 * max(hi, -lo)) (2e-9 is 2 * 1e-9 exactly, and
+    rounding keeps order), so the narrowest width clearing that clears every
+    floor, and the 1e-12 of the rule.  False only sends the bank to the full code.
+    """
+    lo, hi = float(np.minimum.reduce(theta, None)), float(np.maximum.reduce(theta, None))
+    if not hi - lo < math.inf:  # false too for NaN, and for an infinite lo or hi
+        return False
+    return float(np.minimum.reduce(theta[1] - theta[0])) >= max(1e-6, 2e-9 * max(hi, -lo))
 
 
 def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray):
@@ -441,10 +525,41 @@ def softmax_xent_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 class Model:
-    """A plain sequential stack with a softmax cross-entropy head."""
+    """A plain sequential stack with a softmax cross-entropy head.
 
-    def __init__(self, layers: list[Layer]):
+    The model owns one flat float64 buffer each for the parameters, their
+    gradients and their velocities, `buffers`, the rows of one (3, size)
+    block.  Every layer's trained arrays and their g_ and v_ arrays are views
+    of them (`Layer._bind`): the Dense layers' first, then the PWLU banks'.
+    So a step is one `sgd_momentum_step` per run of adjacent trained arrays
+    that share a weight decay: one while `weight_decay` is 0 or while every
+    bank is frozen, else one for the Dense layers and one for the trained
+    banks, which never decay.  A layer is built with a block of its own, or
+    in a slice of the model's block, as `build_mlp` builds it; otherwise the
+    model copies the layers' blocks into its own in one call and rebinds
+    their arrays.  From then on they are written in place, never rebound, so
+    a layer steps with the last model built on it.
+    """
+
+    def __init__(self, layers: list[Layer], block: np.ndarray | None = None):
+        """`block`, if given, is the (3, size) array that the layers' blocks already
+        are, side by side in the model's order (`build_mlp` builds them so)."""
         self.layers = layers
+        owners = sorted((layer for layer in layers if layer.params), key=lambda l: not l.decays)
+        copy = block is None
+        if copy:
+            block = np.concatenate([layer._block for layer in owners] or [np.empty((3, 0))],
+                                   axis=1)
+        self.buffers = tuple(block)  # parameters, gradients, velocities
+        # (layer, start, end) of each layer's slice of the buffers, in their order
+        self._slices = []
+        start = 0
+        for layer in owners:
+            end = start + layer._block.shape[1]
+            if copy:
+                layer._bind(block[:, start:end])
+            self._slices.append((layer, start, end))
+            start = end
 
     def forward(self, x, training=False):
         for layer in self.layers:
@@ -461,8 +576,23 @@ class Model:
         return loss, logits
 
     def step(self, lr, momentum, weight_decay):
-        for layer in self.layers:
-            layer.step(lr, momentum, weight_decay)
+        """One SGD-with-momentum update per run of trained layers with one decay,
+        then each trained layer's `_after_step`: a bank's floor and check."""
+        runs, stepped = [], []  # runs: [start, end, decay] of adjacent trained slices
+        for layer, start, end in self._slices:
+            if layer.trains:
+                decay = weight_decay if layer.decays else 0.0
+                if runs and runs[-1][1] == start and runs[-1][2] == decay:
+                    runs[-1][1] = end
+                else:
+                    runs.append([start, end, decay])
+                stepped.append(layer)
+        params, grads, velocities = self.buffers
+        for start, end, decay in runs:
+            sgd_momentum_step(params[start:end], grads[start:end], velocities[start:end],
+                              lr, momentum, decay)
+        for layer in stepped:
+            layer._after_step()
 
     def predict(self, x):
         for layer in self.layers:
@@ -493,13 +623,24 @@ def build_mlp(widths: list[int], activation: str, rng: np.random.Generator,
               n_intervals: int = 16, granularity: str = "channel", half_width: float = 3.0,
               pwlu_frozen: bool = False, pwlu_collecting: bool = False,
               seed: int = 0) -> Model:
-    """MLP with the chosen activation after every hidden linear layer."""
+    """MLP with the chosen activation after every hidden linear layer.
+
+    The layers are built in one zero block, laid out as `Model` lays them out
+    (Dense layers first), so that the model takes it over without a copy.
+    """
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     act = ACTIVATIONS[activation]
+    sizes = [(w_in + 1) * w_out for w_in, w_out in zip(widths, widths[1:])]
+    if act is PwluActivation:  # a bank's theta is (N+5, U)
+        sizes += [(n_intervals + 5) * (w if granularity == "channel" else 1) for w in widths[1:-1]]
+    ends = list(itertools.accumulate(sizes))
+    block = np.zeros((3, ends[-1] if ends else 0))
+    blocks = [block[:, end - size:end] for size, end in zip(sizes, ends)]
+    banks = blocks[len(widths) - 1:]
     layers: list[Layer] = []
     for i in range(len(widths) - 1):
-        layers.append(Dense(widths[i], widths[i + 1], rng, name=f"dense{i}"))
+        layers.append(Dense(widths[i], widths[i + 1], rng, name=f"dense{i}", block=blocks[i]))
         if i == len(widths) - 2:
             break
         name = f"{activation}{i}"
@@ -507,7 +648,7 @@ def build_mlp(widths: list[int], activation: str, rng: np.random.Generator,
             layers.append(PwluActivation(
                 n_channels=widths[i + 1], n_intervals=n_intervals, granularity=granularity,
                 half_width=half_width, frozen=pwlu_frozen, collecting=pwlu_collecting,
-                seed=seed + i, name=name))
+                seed=seed + i, name=name, block=banks[i]))
         else:
             layers.append(act(name=name))
-    return Model(layers)
+    return Model(layers, block)

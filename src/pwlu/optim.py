@@ -11,6 +11,11 @@ def sgd_momentum_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
                       lr: float, momentum: float, weight_decay: float) -> None:
     """In-place heavy-ball update: v <- m*v + g; p <- p - lr*(v + wd*p).
 
+    The gradient is spent: `grad` is the scratch in which the update is
+    formed, so no temporary of the parameters' size is made, and it holds
+    lr*(v + wd*p) afterwards.  Each product and sum is the formula's up to
+    the order of its operands, so it has the formula's bits.
+
     With wd == 0 the decay term is not formed: p - lr*v has the bits of
     p - lr*(v + 0*p) for every finite p.  0*p is a zero, so adding it can change
     only the sign of a zero v, and only where p is +0 or positive; p minus
@@ -19,9 +24,12 @@ def sgd_momentum_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
     velocity *= momentum
     velocity += grad
     if weight_decay:
-        param -= lr * (velocity + weight_decay * param)
+        np.multiply(param, weight_decay, out=grad)
+        grad += velocity
+        grad *= lr
     else:
-        param -= lr * velocity
+        np.multiply(velocity, lr, out=grad)
+    param -= grad
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,22 @@ class RunningStats:
 
 
 def update_stats(stats: RunningStats, batch, momentum: float = STATS_MOMENTUM) -> RunningStats:
-    """Blend each row of a batch into the stats: new = momentum*old + (1-momentum)*batch."""
+    """Blend each row of a batch into the stats: new = momentum*old + (1-momentum)*batch.
+
+    Each row's mean is formed once and its std derived from it in the steps
+    of numpy's `std`, so both have the bits of `batch.mean(-1)` and
+    `batch.std(-1, ddof=STD_DDOF)`.
+    """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.size == 0:
         raise EmptyBatchError("cannot update running statistics from an empty batch")
-    mean = momentum * stats.mean + (1.0 - momentum) * batch.mean(axis=-1)
-    std = momentum * stats.std + (1.0 - momentum) * batch.std(axis=-1, ddof=STD_DDOF)
+    n = batch.shape[-1]
+    batch_mean = np.add.reduce(batch, -1, keepdims=True) / n
+    sq_dev = batch - batch_mean
+    sq_dev *= sq_dev
+    batch_std = np.sqrt(np.add.reduce(sq_dev, -1) / (n - STD_DDOF))
+    mean = momentum * stats.mean + (1.0 - momentum) * batch_mean[..., 0]
+    std = momentum * stats.std + (1.0 - momentum) * batch_std
     if batch.ndim == 1:  # one unit keeps plain floats
         mean, std = float(mean), float(std)
     return RunningStats(mean=mean, std=std, update_count=stats.update_count + 1)

@@ -20,16 +20,19 @@ from pwlu.errors import (
     ShapeMismatchError,
 )
 from pwlu.kernel import (PwluParams, build_fused, forward_fused, forward_reference,
-                         fused_table, init_pwlu_relu, interval_index, segment_table)
+                         fused_table, init_pwlu_relu, interval_index, parameters_ok,
+                         segment_table)
 from pwlu.kernel import backward as kernel_backward
 from pwlu.layers import (
     Dense,
+    Model,
     PwluActivation,
     Swish,
     bank_views,
     build_mlp,
     softmax_xent_backward,
     softmax_xent_forward,
+    within_floor_and_rule,
 )
 from pwlu.optim import TrainSchedule, sgd_momentum_step
 from pwlu.stats import (DEAD_STD_THRESHOLD, RESERVOIR_CAPACITY, Reservoir, RunningStats,
@@ -69,7 +72,7 @@ class TestLayers:
         x, g = rng.normal(size=(8, 6)), rng.normal(size=(8, 3))
         layer.forward(x)
         assert layer.backward(g).shape == x.shape
-        g_weight, g_bias = layer.g_weight, layer.g_bias
+        g_weight, g_bias = layer.g_weight.copy(), layer.g_bias.copy()
         assert layer.backward(g, input_grad=False) is None
         assert np.array_equal(layer.g_weight, g_weight)
         assert np.array_equal(layer.g_bias, g_bias)
@@ -91,7 +94,7 @@ class TestLayers:
         first = model.layers[0].name
         assert seen == [(l.name, l.name != first, l.name == first)
                         for l in reversed(model.layers)]
-        got = [[getattr(l, f"g_{p}") for p in l.params] for l in model.layers]
+        got = [[getattr(l, f"g_{p}").copy() for p in l.params] for l in model.layers]
 
         # A full backward with every input gradient, from the softmax gradient as grad / n.
         _, probs = softmax_xent_forward(model.forward(x, training=True), labels)
@@ -193,7 +196,7 @@ class TestSgdStep:
         with np.errstate(over="ignore", invalid="ignore"):
             want_param, want_velocity = old_sgd_step(param, grad, velocity, lr, momentum,
                                                      weight_decay)
-            param, velocity = param.copy(), velocity.copy()
+            param, grad, velocity = param.copy(), grad.copy(), velocity.copy()
             sgd_momentum_step(param, grad, velocity, lr, momentum, weight_decay)
         assert same_bits(param, want_param)
         assert same_bits(velocity, want_velocity)
@@ -342,7 +345,7 @@ class TestPwluBank:
         up = np.random.default_rng(seed).normal(size=x.shape)
         layer.forward(x)
         trained_in = layer.backward(up)
-        trained = {p: getattr(layer, f"g_{p}") for p in layer.params}
+        trained = {p: getattr(layer, f"g_{p}").copy() for p in layer.params}
         layer.frozen = True
         layer.forward(x)
         frozen_in = layer.backward(up)
@@ -364,7 +367,8 @@ class TestPwluBank:
         for xs, ups in ((np.ascontiguousarray(x), np.ascontiguousarray(up)),
                         (np.asfortranarray(x), np.asfortranarray(up))):
             layer.forward(xs)
-            got.append([layer.backward(ups)] + [getattr(layer, f"g_{p}") for p in layer.params])
+            got.append([layer.backward(ups)]
+                       + [getattr(layer, f"g_{p}").copy() for p in layer.params])
         for a, b in zip(*got):
             np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -598,6 +602,205 @@ class TestPwluBank:
                 == (want.mean, want.std, want.update_count)
             np.testing.assert_array_equal(layer.reservoir.values()[u],
                                           np.concatenate([x[:, u].ravel() for x in xs]))
+
+
+def per_array_sgd_step(param, grad, velocity, lr, momentum, weight_decay):
+    """One array's update by the plain formula, on copies: the reference for `Model.step`."""
+    velocity = velocity * momentum
+    velocity += grad
+    if weight_decay:
+        return param - lr * (velocity + weight_decay * param), velocity
+    return param - lr * velocity, velocity
+
+
+def step_tail(theta):
+    """A trained bank's floor and check in full, with no fast test, on theta in place:
+    (whether a unit was floored, whether the rule failed)."""
+    b_l, b_r = theta[0], theta[1]
+    width = b_r - b_l
+    min_width = np.maximum(1e-6, 1e-9 * np.abs(theta[:2]).sum(axis=0))
+    floored = not (width >= min_width).all()
+    if floored:
+        narrow = width < min_width
+        center = 0.5 * (b_l[narrow] + b_r[narrow])
+        b_l[narrow] = center - 0.5 * min_width[narrow]
+        b_r[narrow] = center + 0.5 * min_width[narrow]
+        width = b_r - b_l
+    return floored, not parameters_ok(width, theta)
+
+
+def address(a):
+    return a.__array_interface__["data"][0]
+
+
+@st.composite
+def step_models(draw):
+    """A 2-3-Dense model after backward passes, each bank trained, frozen with a kept
+    gradient, or unfrozen with none; velocities nonzero and signed zeros throughout."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=3, max_size=4))
+    activation = draw(st.sampled_from(["pwlu", "pwlu", "relu"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = build_mlp(widths, activation, rng, n_intervals=4,
+                      granularity=draw(st.sampled_from(["channel", "layer"])))
+    banks = model.pwlu_layers()
+    states = [draw(st.sampled_from(["trained", "frozen", "no-grad"])) for _ in banks]
+    x, labels = rng.normal(size=(9, widths[0])), rng.integers(0, widths[-1], 9)
+    for bank, state in zip(banks, states):
+        bank.frozen = state == "no-grad"
+    model.loss_and_backward(x, labels)
+    for bank, state in zip(banks, states):
+        bank.frozen = state == "frozen"  # keeps the gradient of the trained backward
+    signed_zeros = draw(st.booleans())
+    for layer in model.layers:
+        for p in layer.params:
+            arrays = [getattr(layer, f"v_{p}")]
+            if getattr(layer, f"g_{p}") is not None:
+                arrays.append(getattr(layer, f"g_{p}"))
+            arrays[0][...] = rng.normal(size=arrays[0].shape)
+            # Parameters get signed zeros too, but not a bank's boundaries.
+            arrays.append(getattr(layer, p)[2:] if p == "theta" else getattr(layer, p))
+            for a in arrays if signed_zeros else ():
+                a[rng.random(a.shape) < 0.3] = 0.0
+                a[rng.random(a.shape) < 0.3] = -0.0
+    lr = draw(st.sampled_from((0.0, 0.1)) | st.floats(0.0, 1.0))
+    momentum = draw(st.sampled_from((0.0, 0.9)) | st.floats(0.0, 1.0))
+    weight_decay = draw(st.sampled_from((0.0, 5e-4)) | st.floats(1e-6, 0.5))
+    return model, lr, momentum, weight_decay
+
+
+class TestModelStep:
+    def test_trained_arrays_are_views_of_the_buffers_dense_first(self):
+        model = build_mlp([3, 5, 4, 2], "pwlu", np.random.default_rng(0), n_intervals=4)
+        dense = [l for l in model.layers if isinstance(l, Dense)]
+        order = [(l, p) for l in dense + model.pwlu_layers() for p in l.params]
+        params, grads, velocities = model.buffers
+        assert params.size == sum(getattr(l, p).size for l, p in order)
+        offset = 0
+        for layer, p in order:
+            for prefix, buffer in (("", params), ("v_", velocities)):
+                assert address(getattr(layer, prefix + p)) == address(buffer) + 8 * offset
+            offset += getattr(layer, p).size
+        for layer in model.pwlu_layers():
+            assert layer.g_theta is None  # until its first backward
+            assert all(np.shares_memory(view, params) for view in bank_views(layer.theta))
+        x, labels = np.ones((4, 3)), np.array([0, 1, 0, 1])
+        model.loss_and_backward(x, labels)
+        kept = [getattr(l, f"g_{p}") for l, p in order]
+        model.step(0.1, 0.9, 0.0)
+        model.loss_and_backward(x, labels)
+        offset = 0
+        for (layer, p), g in zip(order, kept):  # written in place, not made anew
+            assert getattr(layer, f"g_{p}") is g
+            assert address(g) == address(grads) + 8 * offset
+            offset += g.size
+
+    def test_model_takes_over_the_values_of_its_layers(self):
+        rng = np.random.default_rng(1)
+        layers = [Dense(3, 4, rng), PwluActivation(4, n_intervals=4, frozen=True), Dense(4, 2, rng)]
+        for layer in layers:
+            for p in layer.params:
+                getattr(layer, f"v_{p}")[...] = rng.normal(size=getattr(layer, p).shape)
+        before = [[getattr(l, name).copy() for p in l.params for name in (p, f"v_{p}")]
+                  for l in layers]
+        model = Model(layers)
+        after = [[getattr(l, name) for p in l.params for name in (p, f"v_{p}")] for l in layers]
+        for want, got in zip(before, after):
+            assert all(np.array_equal(w, g) for w, g in zip(want, got))
+        assert layers[1].g_theta is None
+        assert [l for l, _, _ in model._slices] == [layers[0], layers[2], layers[1]]
+
+    @pytest.mark.parametrize("activation, frozen, weight_decay, calls", [
+        ("pwlu", True, 0.0, 1),  # the collect phase: the Dense run alone
+        ("pwlu", True, 1e-4, 1),
+        ("pwlu", False, 0.0, 1),  # one run over Dense layers and banks
+        ("pwlu", False, 1e-4, 2),  # banks never decay: a second run
+        ("relu", False, 1e-4, 1),
+    ])
+    def test_one_optimizer_call_per_run(self, monkeypatch, activation, frozen, weight_decay,
+                                        calls):
+        model = build_mlp([2, 32, 32, 2], activation, np.random.default_rng(0),
+                          pwlu_frozen=frozen, pwlu_collecting=frozen)
+        rng = np.random.default_rng(1)
+        model.loss_and_backward(rng.normal(size=(64, 2)), rng.integers(0, 2, 64))
+        seen = []
+
+        def counted(param, *args):
+            seen.append(param.size)
+            sgd_momentum_step(param, *args)
+
+        monkeypatch.setattr("pwlu.layers.sgd_momentum_step", counted)
+        model.step(0.1, 0.9, weight_decay)
+        dense = sum(l.weight.size + l.bias.size for l in model.layers if isinstance(l, Dense))
+        assert len(seen) == calls and sum(seen) == (dense if frozen else model.buffers[0].size)
+
+    @settings(deadline=None, max_examples=80)
+    @given(step_models())
+    def test_step_has_the_bits_of_the_per_layer_updates(self, case):
+        model, lr, momentum, weight_decay = case
+        want = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for layer in model.layers:
+                if not layer.params or not layer.trains:
+                    continue
+                decay = weight_decay if isinstance(layer, Dense) else 0.0
+                for p in layer.params:
+                    want[layer, p] = per_array_sgd_step(
+                        getattr(layer, p), getattr(layer, f"g_{p}"), getattr(layer, f"v_{p}"),
+                        lr, momentum, decay)
+                if isinstance(layer, PwluActivation):
+                    assert step_tail(want[layer, "theta"][0]) == (False, False)
+            frozen = {(l, p): (getattr(l, p).copy(), getattr(l, f"v_{p}").copy())
+                      for l in model.layers for p in l.params if (l, p) not in want}
+            model.step(lr, momentum, weight_decay)
+        for (layer, p), (param, velocity) in {**want, **frozen}.items():
+            assert same_bits(getattr(layer, p), param), (layer.name, p)
+            assert same_bits(getattr(layer, f"v_{p}"), velocity), (layer.name, p)
+
+
+# Values a stepped theta may hold: signed zeros, the floor's scales, huge
+# magnitudes whose widths overflow, and non-finite entries.
+THETA_EDGES = (0.0, -0.0, 1e-300, 1e-12, 5e-7, 1e-6, 2e-6, 1.0, -1.0, 1e6, 1e300, -1e300,
+               1.7e308, -1.7e308, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def stepped_thetas(draw):
+    """An (N+5, U) theta after a step; its boundaries at times healthy, near or below the floor."""
+    n, units = 2 * draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    value = st.sampled_from(THETA_EDGES) | st.floats(-1e300, 1e300) | st.floats()
+    theta = draw(hnp.arrays(np.float64, (n + 5, units), elements=value))
+    if draw(st.booleans()):
+        theta[2:] = draw(hnp.arrays(np.float64, (n + 3, units), elements=st.floats(-1e3, 1e3)))
+        b_l = draw(hnp.arrays(np.float64, units, elements=st.floats(-1e7, 1e7)))
+        width = draw(hnp.arrays(np.float64, units, elements=st.sampled_from(
+            (0.0, 1e-9, 9.99e-7, 1e-6, 2e-6, 1e-3, 0.02, 6.0)) | st.floats(0.0, 10.0)))
+        theta[0], theta[1] = b_l, b_l + width
+    return theta
+
+
+class TestBankStepCheck:
+    @settings(deadline=None, max_examples=300)
+    @given(stepped_thetas())
+    @example(PwluActivation(3, n_intervals=4).theta.copy())  # the fast test passes
+    @example(np.vstack([[[-1e6], [1e6]], np.zeros((7, 1))]))
+    @example(np.vstack([[[-1e308], [1e308]], np.zeros((7, 1))]))  # the width overflows
+    @example(np.vstack([[[1e7], [1e7 + 0.015]], np.zeros((7, 1))]))  # below its relative floor
+    @np.errstate(over="ignore", invalid="ignore")  # the tail meets overflowing widths and NaN
+    def test_fast_test_passes_only_where_the_tail_changes_nothing(self, theta):
+        fast = within_floor_and_rule(theta)
+        want = theta.copy()
+        floored, failed = step_tail(want)
+        if fast:
+            assert not floored and not failed
+        # The bank's own tail leaves the full tail's bits, or raises where it does.
+        layer = PwluActivation(theta.shape[1], n_intervals=theta.shape[0] - 5, name="act")
+        layer.theta[...] = theta
+        if failed:
+            with pytest.raises(DegenerateParameterError, match=r"^act: "):
+                layer._after_step()
+        else:
+            layer._after_step()
+            assert same_bits(layer.theta, want)
 
 
 class TestSchedule:

@@ -39,6 +39,30 @@ class TestUpdateStats:
         assert abs(s.mean - 5.0) < 0.1
         assert abs(s.std - 2.0) < 0.15
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([(1,), (2,), (64,), (1, 1), (1, 9), (32, 64), (5, 3)])
+           | st.tuples(st.integers(1, 40)) | st.tuples(st.integers(1, 12), st.integers(1, 70)),
+           st.integers(0, 2**32 - 1), st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e150]))
+    @example((32, 64), 0, 1.0)  # a 64x32 spirals batch, as bank rows
+    @example((256, 128), 1, 1.0)  # a 128x256 wide batch
+    def test_bits_of_mean_and_std(self, shape, seed, scale):
+        """The mean formed once, and the std from it, keep numpy's bits."""
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(rng.normal(), 2.0, size=shape) * scale
+        units = shape[:-1]
+        if units:
+            old = RunningStats(rng.normal(size=units), rng.random(units), 3)
+        else:
+            old = RunningStats(float(rng.normal()), float(rng.random()), 3)
+        new = update_stats(old, batch, momentum=0.9)
+        want_mean = 0.9 * old.mean + (1.0 - 0.9) * batch.mean(-1)
+        want_std = 0.9 * old.std + (1.0 - 0.9) * batch.std(-1)
+        for got, want in ((new.mean, want_mean), (new.std, want_std)):
+            assert type(got) is (np.ndarray if units else float)
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+        assert new.update_count == 4
+
     def test_deterministic_sequence(self):
         rng = np.random.default_rng(0)
         batches = [rng.normal(size=16) for _ in range(10)]
