@@ -13,6 +13,10 @@ class ShapeMismatchError(PwluError):
     """Tensor shapes are incompatible for the requested operation."""
 
 
+class SharedLayerError(PwluError):
+    """A layer with trained arrays is already bound to another model's buffers."""
+
+
 class EmptyBatchError(PwluError):
     """A statistics update was attempted with an empty batch."""
 

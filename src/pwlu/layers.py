@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateParameterError, ShapeMismatchError
+from .errors import DegenerateParameterError, ShapeMismatchError, SharedLayerError
 from .kernel import (PwluParams, forward_fused, fused_table, init_pwlu_relu, parameters_ok,
                      segment_table)
 from .optim import sgd_momentum_step
@@ -38,6 +38,8 @@ class Layer:
     decays = True
     # Whether a step updates the trained arrays (a layer with none has nothing to update).
     trains = True
+    # Whether a `Model` has bound the trained arrays to its buffers.
+    _in_model = False
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -384,7 +386,10 @@ class PwluActivation(Layer):
         """
         self._check_channels(x)
         table = self._table(2, fused_table)
-        return self._from_columns(forward_fused(self._to_columns(x), table), x)
+        if self.granularity == "channel" and x.ndim > 2:  # the channel axis moves last
+            return self._from_columns(forward_fused(self._to_columns(x), table), x)
+        # (batch, channels), or any shape for one unit: forward_fused views it as columns
+        return forward_fused(x, table)
 
     def backward(self, grad_out, input_grad=True):
         # grad_in is always made: the parameter gradients are built from it.
@@ -537,8 +542,9 @@ class Model:
     banks, which never decay.  A layer is built with a block of its own, or
     in a slice of the model's block, as `build_mlp` builds it; otherwise the
     model copies the layers' blocks into its own in one call and rebinds
-    their arrays.  From then on they are written in place, never rebound, so
-    a layer steps with the last model built on it.
+    their arrays.  From then on they are written in place, never rebound.  A
+    layer with trained arrays belongs to one model: a second model built on
+    it raises SharedLayerError, since one of the two would step it.
     """
 
     def __init__(self, layers: list[Layer], block: np.ndarray | None = None):
@@ -546,6 +552,10 @@ class Model:
         are, side by side in the model's order (`build_mlp` builds them so)."""
         self.layers = layers
         owners = sorted((layer for layer in layers if layer.params), key=lambda l: not l.decays)
+        for layer in owners:
+            if layer._in_model:
+                raise SharedLayerError(f"{layer.name} is already bound to another model's "
+                                       f"buffers; build the new model on new layers")
         copy = block is None
         if copy:
             block = np.concatenate([layer._block for layer in owners] or [np.empty((3, 0))],
@@ -558,6 +568,7 @@ class Model:
             end = start + layer._block.shape[1]
             if copy:
                 layer._bind(block[:, start:end])
+            layer._in_model = True
             self._slices.append((layer, start, end))
             start = end
 

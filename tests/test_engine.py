@@ -18,6 +18,7 @@ from pwlu.errors import (
     NonFiniteLossError,
     PwluError,
     ShapeMismatchError,
+    SharedLayerError,
 )
 from pwlu.kernel import (PwluParams, build_fused, forward_fused, forward_reference,
                          fused_table, init_pwlu_relu, interval_index, parameters_ok,
@@ -708,6 +709,24 @@ class TestModelStep:
             assert all(np.array_equal(w, g) for w, g in zip(want, got))
         assert layers[1].g_theta is None
         assert [l for l, _, _ in model._slices] == [layers[0], layers[2], layers[1]]
+
+    @pytest.mark.parametrize("taken", [
+        lambda m: m.layers[:1],
+        lambda m: m.layers,
+        lambda m: [Dense(2, 4, np.random.default_rng(3)), *m.layers[1:]],  # one fresh layer
+    ])
+    def test_a_layer_bound_to_a_model_is_not_bound_again(self, taken):
+        model = build_mlp([2, 4, 2], "relu", np.random.default_rng(0))
+        taken = taken(model)
+        with pytest.raises(SharedLayerError, match="dense"):
+            Model(taken)
+        # The first model still owns and steps every layer.
+        assert all(np.shares_memory(l.weight, model.buffers[0]) for l in model.layers[::2])
+        before = [l.weight.copy() for l in model.layers[::2]]
+        x, labels = np.array([[1.0, -2.0], [0.5, 3.0]]), np.array([0, 1])
+        model.loss_and_backward(x, labels)
+        model.step(0.1, 0.9, 0.0)
+        assert all(not np.array_equal(l.weight, w) for l, w in zip(model.layers[::2], before))
 
     @pytest.mark.parametrize("activation, frozen, weight_decay, calls", [
         ("pwlu", True, 0.0, 1),  # the collect phase: the Dense run alone

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from pwlu.errors import DegenerateParameterError, ShapeMismatchError
 from pwlu.kernel import (
+    BLOCK_ELEMS,
     PwluParams,
     backward,
     build_fused,
     forward_fused,
+    fused_table,
     forward_reference,
     init_pwlu_relu,
     interval_index,
@@ -297,6 +299,123 @@ class TestFused:
         p.right_boundary = p.left_boundary
         with pytest.raises(DegenerateParameterError):
             build_fused(p)
+
+
+def single_pass_fused(x, table):
+    """forward_fused as one pass over the whole array, floor before clamp: the
+    oracle whose bits the blocked evaluation must keep."""
+    x = np.asarray(x, dtype=table.slopes.dtype)
+    n = table.n_intervals
+    raw = np.asarray(x - table.left_boundary)
+    np.multiply(raw, table.inv_interval_len, out=raw)
+    np.floor(raw, out=raw)
+    np.fmax(raw, -1, out=raw)
+    np.fmin(raw, n, out=raw)
+    start = (n + 2) * np.arange(table.slopes.size // (n + 2)).reshape(table.slopes.shape[:-1])
+    idx = raw.astype(np.int64)
+    idx += start + 1
+    out = table.slopes.take(idx, mode="clip")
+    out *= x
+    out += table.offsets.take(idx, out=raw, mode="clip")
+    return out
+
+
+def assert_same_bits(got, want):
+    """Same type (a scalar stays a scalar), dtype, shape and bytes."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+# Values that take the clamp's edges: NaN, the infinities, and finite values
+# whose index overflows int64 unless clamped first.
+SPECIALS = [np.nan, np.inf, -np.inf, 1e308, -1e308]
+
+
+def row_counts(units):
+    """Row counts around the blocks of `units` columns, with rows = BLOCK_ELEMS // units:
+    1, rows - 1, rows, rows + 1, the last count split into one block and the first
+    into two (1.5 blocks' worth of elements, rounded), and 3 rows + 7, three
+    blocks whose last is short."""
+    rows, two = BLOCK_ELEMS // units, -(-3 * BLOCK_ELEMS // (2 * units))
+    return st.sampled_from([1, rows - 1, rows, rows + 1, two - 1, two, 3 * rows + 7])
+
+
+@st.composite
+def fused_inputs(draw, shape, table_dtype, bank):
+    """x of `shape` and a random table, of one unit (scalar parameters) or, with
+    `bank`, of shape[-1] units: x normal around the intervals, with SPECIALS
+    put at drawn places."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 16]))
+    u = shape[-1:] if bank else ()
+    b_l = rng.normal(size=u)
+    b_r = b_l + rng.uniform(0.1, 4.0, size=u)
+    k_l, k_r = rng.normal(size=u), rng.normal(size=u)
+    if draw(st.booleans()):  # a zero outer slope: 0 * inf is NaN on both paths
+        k_l = k_l * 0.0
+    table = fused_table(b_l, b_r, rng.normal(size=u + (n + 1,)), k_l, k_r, table_dtype)
+    x = rng.normal(scale=3.0, size=shape)
+    if x.size:
+        at = draw(st.lists(st.integers(0, x.size - 1), max_size=12))
+        x.reshape(-1)[at] = [SPECIALS[i % len(SPECIALS)] for i in range(len(at))]
+        if draw(st.booleans()):  # the last row holds them all: the short block's
+            x.reshape(-1)[-min(x.size, 5):] = SPECIALS[:min(x.size, 5)]
+    x_dtype = draw(st.sampled_from([np.float64, np.float32]))
+    with np.errstate(over="ignore"):
+        return x.astype(x_dtype), table
+
+
+def assert_blocked_is_single_pass(x, table):
+    with np.errstate(all="ignore"):  # 1e308 overflows; 0 * inf is invalid
+        got = forward_fused(x, table)  # first: its empty blocks hold none of the oracle's bits
+        want = single_pass_fused(x, table)
+    assert_same_bits(got, want)
+
+
+class TestBlockedFused:
+    """The blocked forward_fused has the bits of one pass over the whole array.
+
+    Row counts from `row_counts`, around one, two and three blocks.  Mutants
+    this class catches: an off-by-one block end (the loop stops a row
+    early), a short last block whose gathers read the rows at the end of the
+    index buffer, left from the block before, and the floor taken into the
+    index before the clamp (+inf and 1e308 overflow int64 to its least value
+    and land on the left segment).
+    """
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data(), st.sampled_from([1, 3, 32, 256]), st.sampled_from([np.float64, np.float32]))
+    def test_bank_columns(self, data, units, table_dtype):
+        elements = data.draw(row_counts(units))
+        x, table = data.draw(fused_inputs((elements, units), table_dtype, bank=True))
+        assert_blocked_is_single_pass(x, table)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data(), st.sampled_from([np.float64, np.float32]))
+    def test_one_unit_any_shape(self, data, table_dtype):
+        ndim = data.draw(st.sampled_from([0, 1, 3]))
+        if ndim == 0:
+            shape = ()
+        else:
+            size = data.draw(row_counts(1))
+            shape = (size,) if ndim == 1 else data.draw(st.sampled_from(
+                [(1, size, 1), (size, 1, 1), (1, 1, size)]))
+        x, table = data.draw(fused_inputs(shape, table_dtype, bank=False))
+        assert_blocked_is_single_pass(x, table)
+        if ndim == 0:  # a Python float too
+            assert_blocked_is_single_pass(float(x), table)
+
+    def test_empty_input(self):
+        table = build_fused(v_params())
+        assert_blocked_is_single_pass(np.empty((0, 3)), table)
+
+    def test_bank_table_rejects_inputs_whose_last_axis_is_not_its_units(self):
+        table = fused_table(np.zeros(4), np.ones(4), np.zeros((4, 3)), np.zeros(4), np.ones(4))
+        with pytest.raises(ShapeMismatchError):
+            forward_fused(np.zeros((8, 1)), table)
+        assert forward_fused(np.zeros((2, 3, 4)), table).shape == (2, 3, 4)
 
 
 class TestProperties:
