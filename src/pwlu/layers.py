@@ -7,7 +7,6 @@ parameter gradients into the layer's gradient arrays for the optimizer step.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -23,10 +22,9 @@ class Layer:
     """One layer of a `Model`.
 
     A layer with trained arrays keeps them, their gradients and their
-    velocities in rows 0, 1 and 2 of one (3, size) block (`_bind`).  A
-    constructor's `block` argument, a zero array, is the block to use, as
-    `build_mlp` gives each layer a slice of the model's; by default the
-    layer makes its own.
+    velocities in rows 0, 1 and 2 of one (3, size) block (`_bind`): its own
+    until a `Model` copies it into the model's buffers and rebinds the layer
+    to its slice of them.
     """
 
     # The type name: the checkpoint manifest's `type` and, for an activation, `build_mlp`'s.
@@ -56,11 +54,10 @@ class Layer:
         """Inference output; equal to the forward unless a layer has a faster form."""
         return self.forward(x)
 
-    def _own_block(self, block=None) -> None:
-        """Move the trained arrays into row 0 of `block`, a zero (3, size) array (a
-        new one by default), and bind them, their gradients and velocities to it."""
-        if block is None:
-            block = np.zeros((3, sum(getattr(self, name).size for name in self.params)))
+    def _own_block(self) -> None:
+        """Move the trained arrays into row 0 of a new zero (3, size) block and bind
+        them, their gradients and velocities to it."""
+        block = np.zeros((3, sum(getattr(self, name).size for name in self.params)))
         np.concatenate([getattr(self, name).ravel() for name in self.params], out=block[0])
         self._bind(block)
 
@@ -82,15 +79,10 @@ class Layer:
         """Whatever the layer's parameters need after an update; nothing by default."""
 
     def step(self, lr: float, momentum: float, weight_decay: float) -> None:
-        """Apply one SGD-with-momentum update to this layer's parameters alone.
-
-        `Model.step` does the same for all its layers in fewer calls.
-        """
-        if self.trains:
-            decay = weight_decay if self.decays else 0.0
-            for p in self.params:
-                sgd_momentum_step(getattr(self, p), getattr(self, f"g_{p}"),
-                                  getattr(self, f"v_{p}"), lr, momentum, decay)
+        """Apply one SGD-with-momentum update to this layer's parameters alone, in
+        one call over its block.  `Model.step` does the same for all its layers."""
+        if self.params and self.trains:
+            sgd_momentum_step(*self._block, lr, momentum, weight_decay if self.decays else 0.0)
             self._after_step()
 
 
@@ -100,13 +92,12 @@ class Dense(Layer):
     kind = "dense"
     params = ("weight", "bias")
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "dense",
-                 block: np.ndarray | None = None):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "dense"):
         self.name = name
         self.weight = rng.normal(0.0, np.sqrt(2.0 / in_dim), size=(in_dim, out_dim))
         self.in_dim, self.out_dim = self.weight.shape
         self.bias = np.zeros(out_dim)
-        self._own_block(block)
+        self._own_block()
         self._x = None
 
     def forward(self, x, training=False):
@@ -210,7 +201,7 @@ class PwluActivation(Layer):
 
     def __init__(self, n_channels: int, n_intervals: int = 16, granularity: str = "channel",
                  half_width: float = 3.0, frozen: bool = False, collecting: bool = False,
-                 seed: int = 0, name: str = "pwlu", block: np.ndarray | None = None):
+                 seed: int = 0, name: str = "pwlu"):
         if granularity not in ("channel", "layer"):
             raise ValueError(f"granularity must be 'channel' or 'layer', got {granularity!r}")
         self.name = name
@@ -224,7 +215,7 @@ class PwluActivation(Layer):
         self.theta = np.empty((n_intervals + 5, self.n_units))
         self.g_theta = None
         # theta's values are written next
-        self._bind(np.zeros((3, self.theta.size)) if block is None else block)
+        self._own_block()
         self._write(init_pwlu_relu(n_intervals, half_width, center=np.zeros(self.n_units)))
         self.running_stats = RunningStats(np.zeros(self.n_units), np.ones(self.n_units))
         self.reservoir = Reservoir(RESERVOIR_CAPACITY if collecting else 0,
@@ -539,35 +530,32 @@ class Model:
     So a step is one `sgd_momentum_step` per run of adjacent trained arrays
     that share a weight decay: one while `weight_decay` is 0 or while every
     bank is frozen, else one for the Dense layers and one for the trained
-    banks, which never decay.  A layer is built with a block of its own, or
-    in a slice of the model's block, as `build_mlp` builds it; otherwise the
-    model copies the layers' blocks into its own in one call and rebinds
-    their arrays.  From then on they are written in place, never rebound.  A
-    layer with trained arrays belongs to one model: a second model built on
-    it raises SharedLayerError, since one of the two would step it.
+    banks, which never decay.  The model copies the layers' own blocks into
+    its block in one call and rebinds their arrays; from then on they are
+    written in place, never rebound.  A layer with trained arrays takes one
+    place in one model: listing it twice, or building a second model on it,
+    raises SharedLayerError, since its second backward would overwrite the
+    first's gradient, or only one of the two models could step it.
     """
 
-    def __init__(self, layers: list[Layer], block: np.ndarray | None = None):
-        """`block`, if given, is the (3, size) array that the layers' blocks already
-        are, side by side in the model's order (`build_mlp` builds them so)."""
+    def __init__(self, layers: list[Layer]):
         self.layers = layers
         owners = sorted((layer for layer in layers if layer.params), key=lambda l: not l.decays)
-        for layer in owners:
+        for i, layer in enumerate(owners):
+            if layer in owners[:i]:
+                raise SharedLayerError(f"{layer.name} is listed twice; a layer with trained "
+                                       f"arrays takes one place in a model")
             if layer._in_model:
                 raise SharedLayerError(f"{layer.name} is already bound to another model's "
                                        f"buffers; build the new model on new layers")
-        copy = block is None
-        if copy:
-            block = np.concatenate([layer._block for layer in owners] or [np.empty((3, 0))],
-                                   axis=1)
+        block = np.concatenate([layer._block for layer in owners] or [np.empty((3, 0))], axis=1)
         self.buffers = tuple(block)  # parameters, gradients, velocities
         # (layer, start, end) of each layer's slice of the buffers, in their order
         self._slices = []
         start = 0
         for layer in owners:
             end = start + layer._block.shape[1]
-            if copy:
-                layer._bind(block[:, start:end])
+            layer._bind(block[:, start:end])
             layer._in_model = True
             self._slices.append((layer, start, end))
             start = end
@@ -634,24 +622,13 @@ def build_mlp(widths: list[int], activation: str, rng: np.random.Generator,
               n_intervals: int = 16, granularity: str = "channel", half_width: float = 3.0,
               pwlu_frozen: bool = False, pwlu_collecting: bool = False,
               seed: int = 0) -> Model:
-    """MLP with the chosen activation after every hidden linear layer.
-
-    The layers are built in one zero block, laid out as `Model` lays them out
-    (Dense layers first), so that the model takes it over without a copy.
-    """
+    """MLP with the chosen activation after every hidden linear layer."""
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     act = ACTIVATIONS[activation]
-    sizes = [(w_in + 1) * w_out for w_in, w_out in zip(widths, widths[1:])]
-    if act is PwluActivation:  # a bank's theta is (N+5, U)
-        sizes += [(n_intervals + 5) * (w if granularity == "channel" else 1) for w in widths[1:-1]]
-    ends = list(itertools.accumulate(sizes))
-    block = np.zeros((3, ends[-1] if ends else 0))
-    blocks = [block[:, end - size:end] for size, end in zip(sizes, ends)]
-    banks = blocks[len(widths) - 1:]
     layers: list[Layer] = []
     for i in range(len(widths) - 1):
-        layers.append(Dense(widths[i], widths[i + 1], rng, name=f"dense{i}", block=blocks[i]))
+        layers.append(Dense(widths[i], widths[i + 1], rng, name=f"dense{i}"))
         if i == len(widths) - 2:
             break
         name = f"{activation}{i}"
@@ -659,7 +636,7 @@ def build_mlp(widths: list[int], activation: str, rng: np.random.Generator,
             layers.append(PwluActivation(
                 n_channels=widths[i + 1], n_intervals=n_intervals, granularity=granularity,
                 half_width=half_width, frozen=pwlu_frozen, collecting=pwlu_collecting,
-                seed=seed + i, name=name, block=banks[i]))
+                seed=seed + i, name=name))
         else:
             layers.append(act(name=name))
-    return Model(layers, block)
+    return Model(layers)

@@ -31,7 +31,7 @@ COUNTED_WITH = {"numpy": "2.4.6", "python": "3.11"}
 BOUNDS = {
     "forward": 16,
     "backward": 25,
-    "step": 15,
+    "step": 12,
     "frozen-forward": 15,
     "frozen-backward": 2,
     "infer": 17,

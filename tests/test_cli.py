@@ -362,7 +362,8 @@ class TestModuleEntryPoint:
         assert "field=epochs" in proc.stderr
 
 
-# fused_bench.py is left out: it is a timing loop over kernel functions, with no result to check.
+# ab_pairs.py and bank_bench.py are left out: they time runs and have no result to check
+# (test_call_counts.py pins bank_bench.py's call counts).
 @pytest.mark.parametrize("demo", ["shape_gallery.py", "train_spirals.py"])
 def test_demo_runs(tmp_path, demo):
     proc = run_python(str(Path(__file__).resolve().parents[1] / "demos" / demo), cwd=tmp_path)

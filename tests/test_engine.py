@@ -28,6 +28,7 @@ from pwlu.layers import (
     Dense,
     Model,
     PwluActivation,
+    Relu,
     Swish,
     bank_views,
     build_mlp,
@@ -51,6 +52,26 @@ def pwlu_checksum(model):
     return h.hexdigest()
 
 
+def assert_steps_in_one_call(layer, monkeypatch):
+    """A layer alone, after a backward, steps all its trained arrays in one
+    optimizer call over their memory: a bank its theta, a Dense layer its
+    weight and bias together."""
+    layer.forward(np.linspace(-4.0, 4.0, 20).reshape(5, 4))
+    layer.backward(np.ones((5, 4)))
+    calls = []
+
+    def counted(param, *args):
+        calls.append(param)
+        sgd_momentum_step(param, *args)
+
+    monkeypatch.setattr("pwlu.layers.sgd_momentum_step", counted)
+    layer.step(0.1, 0.9, 0.0)
+    trained = [getattr(layer, p) for p in layer.params]
+    assert len(calls) == 1
+    assert all(np.shares_memory(calls[0], array) for array in trained)
+    assert calls[0].size == sum(array.size for array in trained)
+
+
 class TestLayers:
     def test_dense_identity(self):
         rng = np.random.default_rng(0)
@@ -66,6 +87,9 @@ class TestLayers:
         layer.bias = rng.normal(size=5)
         x = rng.normal(size=(9, 7))
         assert np.array_equal(layer.forward(x), x @ layer.weight + layer.bias)
+
+    def test_dense_step_is_one_optimizer_call(self, monkeypatch):
+        assert_steps_in_one_call(Dense(4, 4, np.random.default_rng(0)), monkeypatch)
 
     def test_dense_backward_without_input_grad(self):
         rng = np.random.default_rng(4)
@@ -458,18 +482,7 @@ class TestPwluBank:
         assert len(calls) == 1
 
     def test_trained_step_is_one_optimizer_call(self, monkeypatch):
-        layer = PwluActivation(4, n_intervals=4)
-        layer.forward(np.linspace(-4.0, 4.0, 20).reshape(5, 4))
-        layer.backward(np.ones((5, 4)))
-        calls = []
-
-        def counted(param, *args):
-            calls.append(param)
-            sgd_momentum_step(param, *args)
-
-        monkeypatch.setattr("pwlu.layers.sgd_momentum_step", counted)
-        layer.step(0.1, 0.9, 0.0)
-        assert len(calls) == 1 and calls[0] is layer.theta
+        assert_steps_in_one_call(PwluActivation(4, n_intervals=4), monkeypatch)
 
     @staticmethod
     def trained_bank(name="bank"):
@@ -714,6 +727,8 @@ class TestModelStep:
         lambda m: m.layers[:1],
         lambda m: m.layers,
         lambda m: [Dense(2, 4, np.random.default_rng(3)), *m.layers[1:]],  # one fresh layer
+        # A fresh layer listed twice: two slices, and the second backward overwrites the first.
+        lambda m: [tied := Dense(4, 4, np.random.default_rng(3)), Relu(), tied],
     ])
     def test_a_layer_bound_to_a_model_is_not_bound_again(self, taken):
         model = build_mlp([2, 4, 2], "relu", np.random.default_rng(0))
