@@ -24,7 +24,7 @@ from .kernel import (MIN_BOUNDARY_WIDTH, build_fused, forward_fused, forward_ref
                      init_pwlu_relu)
 from .layers import ACTIVATIONS, Dense, build_mlp
 from .optim import TrainSchedule
-from .stats import write_alignment_csv
+from .stats import MIN_PERCENTILE_SAMPLES, write_alignment_csv
 from .trainer import Trainer
 
 
@@ -176,7 +176,8 @@ def _write_resolved_config(config: RunConfig, out_dir: Path) -> None:
 
 
 def _load_datasets(config: RunConfig):
-    """The standardized (train, test) split; ConfigError if --arch does not fit the data."""
+    """The standardized (train, test) split; ConfigError if --arch does not fit the data,
+    or if the collect phase gives a unit too few samples for the alignment reports."""
     if config.dataset == "spirals":
         train = gen_spirals(config.n_per_class, config.noise, config.seed)
         test = gen_spirals(config.n_per_class, config.noise, config.seed + 100_000)
@@ -196,6 +197,17 @@ def _load_datasets(config: RunConfig):
     if widths[0] != features or widths[-1] < classes:
         raise ConfigError("arch", f"{config.arch} does not fit the data: need {features} "
                                   f"inputs and at least {classes} outputs")
+    hidden = widths[1:-1]
+    if config.realign == "on" and config.activation == "pwlu" and hidden:
+        # Each collect step feeds a unit one value per batch row, or per hidden
+        # channel too when one unit serves the whole layer.
+        per_row = min(hidden) if config.granularity == "layer" else 1
+        iters_per_epoch = max(1, train.features.shape[0] // config.batch_size)
+        samples = config.t_prime_epochs * iters_per_epoch * config.batch_size * per_row
+        if samples < MIN_PERCENTILE_SAMPLES:
+            raise ConfigError("t_prime_epochs", f"the collect phase gives each unit {samples} "
+                                                f"samples; the alignment reports need at least "
+                                                f"{MIN_PERCENTILE_SAMPLES}")
     return standardize(train, test)
 
 

@@ -14,7 +14,8 @@ class ShapeMismatchError(PwluError):
 
 
 class SharedLayerError(PwluError):
-    """A layer with trained arrays is already bound to another model's buffers."""
+    """A layer with trained arrays is listed twice in one model, or is already bound
+    to another model's buffers."""
 
 
 class EmptyBatchError(PwluError):

@@ -87,16 +87,6 @@ def wide_enough(width):
     return np.isfinite(width) & (width >= MIN_BOUNDARY_WIDTH)
 
 
-def parameters_ok(width, values: np.ndarray) -> bool:
-    """The parameter rule as one test over a whole bank.
-
-    Every interval in `width` must be wide enough and every entry of the
-    array `values` finite.  `PwluParams.validate` applies the same rule field
-    by field, to name the first unit that breaks it.
-    """
-    return bool(wide_enough(width).all() and np.isfinite(values).all())
-
-
 @dataclass(eq=False)
 class PwluGrads:
     """Loss partials for one unit, summed over all batch elements.

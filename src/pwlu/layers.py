@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateParameterError, ShapeMismatchError, SharedLayerError
-from .kernel import (PwluParams, forward_fused, fused_table, init_pwlu_relu, parameters_ok,
-                     segment_table)
+from .kernel import PwluParams, forward_fused, fused_table, init_pwlu_relu, segment_table
 from .optim import sgd_momentum_step
 from .stats import RESERVOIR_CAPACITY, Reservoir, RunningStats, realign_reset, update_stats
 
@@ -164,8 +163,8 @@ class PwluActivation(Layer):
     granularity "channel" keeps one unit per channel (axis 1 of the input);
     "layer" shares a single unit across the whole tensor.  While `frozen`,
     backward computes only the input gradient, which still flows to earlier
-    layers, and sets g_theta to None, so the optimizer step leaves the unit
-    parameters untouched.  While `collecting`, each training forward
+    layers, and writes no bit of g_theta, and a step leaves theta and
+    v_theta untouched.  While `collecting`, each training forward
     updates the running mean/std and the reservoir sample of every unit.
     `collecting` is true while the reservoir has slots: from construction
     with collecting=True until `realign` frees the samples.
@@ -174,15 +173,15 @@ class PwluActivation(Layer):
     `theta`; b_l, b_r, k_l, k_r (U,) and y (U, N+1) are views of it
     (`bank_views`), written in place, never rebound.  `v_theta` and `g_theta`
     share its layout; in a `Model` all three are views of the model's buffers,
-    updated in the model's one optimizer call.  `g_theta` is None until an
-    unfrozen backward, which writes the bank's gradient view and names it.
-    After an update `_after_step` keeps the intervals above their floor and
-    checks the parameter rule, in full only when `within_floor_and_rule`,
-    four array operations, cannot show that nothing needs doing.  `units`
-    is a read-only snapshot of the parameters as one-unit PwluParams.  The
-    statistics are over units too: `running_stats`, with (U,) mean and std,
-    and the U streams of `reservoir`, which share one generator; `stats` is
-    a read-only snapshot of them as RunningStats.  `realign` resets the whole
+    updated in the model's one optimizer call.  A trained backward writes
+    every entry of `g_theta`.  After an update `_after_step` keeps the
+    intervals above their floor and checks the parameter rule, in full only
+    when `within_floor_and_rule`, four array operations, cannot show that
+    nothing needs doing.  `units` is a read-only snapshot of the parameters
+    as one-unit PwluParams.  The statistics are over units too:
+    `running_stats`, with (U,) mean and std, and the U streams of
+    `reservoir`, which share one generator; `stats` is a read-only snapshot
+    of them as RunningStats.  `realign` resets the whole
     bank from `running_stats` in one array operation.  A forward keeps what
     backward reads in one tuple, `_cache`: the (elements, U) input columns,
     the segment index, the outer masks, each element's edge, its offset
@@ -212,9 +211,7 @@ class PwluActivation(Layer):
         # Unit u's entries in the (U, N+2) segment tables start at flat index u*(N+2),
         # its left outer segment; its interior segment 1 is one further.
         self._starts1 = np.arange(self.n_units) * (n_intervals + 2) + 1
-        self.theta = np.empty((n_intervals + 5, self.n_units))
-        self.g_theta = None
-        # theta's values are written next
+        self.theta = np.empty((n_intervals + 5, self.n_units))  # its values are written next
         self._own_block()
         self._write(init_pwlu_relu(n_intervals, half_width, center=np.zeros(self.n_units)))
         self.running_stats = RunningStats(np.zeros(self.n_units), np.ones(self.n_units))
@@ -225,18 +222,13 @@ class PwluActivation(Layer):
         self._tables = [None, None, None]  # theta's bytes, its segment table, its fused table
 
     def _bind(self, block):
-        trained = self.g_theta is not None
         super()._bind(block)
         self.b_l, self.b_r, self.k_l, self.k_r, self.y = bank_views(self.theta)
-        # What a trained backward writes; g_theta names it only from then on.
-        self._grad = self.g_theta
-        if not trained:
-            self.g_theta = None
 
     @property
     def trains(self) -> bool:
-        """A frozen bank, or one with no gradient yet, is left as it is by a step."""
-        return not self.frozen and self.g_theta is not None
+        """A frozen bank is left as it is by a step."""
+        return not self.frozen
 
     @property
     def collecting(self) -> bool:
@@ -273,13 +265,9 @@ class PwluActivation(Layer):
         self.k_l[:], self.k_r[:] = new.left_slope, new.right_slope
 
     def check_params(self) -> None:
-        """Raise DegenerateParameterError for a non-finite parameter or a collapsed interval.
-
-        The rule is tested on the views of theta; a PwluParams is built only
-        when it fails, to name the first bad unit.
-        """
-        if parameters_ok(self.b_r - self.b_l, self.theta):
-            return
+        """Raise DegenerateParameterError, naming the layer and its first bad unit, for
+        a non-finite parameter or a collapsed interval: `PwluParams.validate` on the
+        views of theta."""
         try:  # PwluParams wraps the views of theta without a copy
             PwluParams(self.n_intervals, self.b_l, self.b_r, self.y, self.k_l, self.k_r)
         except DegenerateParameterError as exc:
@@ -353,7 +341,10 @@ class PwluActivation(Layer):
             self.reservoir.extend(rows)
         width = self.b_r - self.b_l
         d = width / self.n_intervals
-        if training and not self.frozen:  # a trained backward follows: it fills plane 1
+        # A trained backward follows: it fills plane 1.  Any other forward keeps the
+        # index alone: a pair on every forward raised perfbench `wide`'s peak RSS
+        # by 4% (162.5 to 169.0 MB), through glibc's dynamic mmap threshold.
+        if training and not self.frozen:
             index = np.empty((2,) + xc.shape, np.int64)
             seg = index[0]
         else:
@@ -391,13 +382,13 @@ class PwluActivation(Layer):
                 f"{self.name}: input columns {xc.shape} != upstream {up.shape}"
             )
         grad_in = slope * up  # up * slope bit for bit: multiplication commutes
-        # step() reads no gradient while frozen, so none is computed or kept.
-        self.g_theta = None if self.frozen else self._param_grads(
-            xc, up, grad_in, index, left, right, edge, offset, width, d)
+        # A frozen bank's step leaves theta alone, so no gradient is computed or written.
+        if not self.frozen:
+            self._param_grads(xc, up, grad_in, index, left, right, edge, offset, width, d)
         return self._from_columns(grad_in, grad_out)
 
     def _param_grads(self, xc, up, grad_in, index, left, right, edge, offset, width, d):
-        """The g_theta of one backward's columns, from the forward's `_cache`.
+        """Write every entry of g_theta from one backward's columns and the forward's `_cache`.
 
         Each quantity is built in place in a few reused buffers, in the
         operation order of the expression in its comment, so it has that
@@ -427,7 +418,7 @@ class PwluActivation(Layer):
         # Each outer sum reads only its region's elements, so an infinite input
         # adds nothing outside it.  bincount adds each bin's values from 0.0 in
         # element order (the flat indices run row by row; index % U is the unit).
-        g_theta = self._grad  # every entry is written below
+        g_theta = self.g_theta
         g_y = bank_views(g_theta)[4]
         up_outer = np.bincount(outer_bin, up.take(outside_at), 2 * units)
         g_theta[2:4] = np.bincount(outer_bin, moment.take(outside_at),
@@ -456,7 +447,6 @@ class PwluActivation(Layer):
                              minlength=bins)[:bins].reshape(-1, n + 2)[:, 1:]
         g_y[:, 0] += up_outer[:units]
         g_y[:, n] += up_outer[units:]
-        return g_theta
 
     def _after_step(self):
         # Unit parameters never receive weight decay (`decays`); decaying the
@@ -476,9 +466,7 @@ class PwluActivation(Layer):
             center = 0.5 * (b_l[narrow] + b_r[narrow])
             b_l[narrow] = center - 0.5 * min_width[narrow]
             b_r[narrow] = center + 0.5 * min_width[narrow]
-            width = b_r - b_l
-        if not parameters_ok(width, self.theta):
-            self.check_params()  # raises, naming the first bad unit
+        self.check_params()
 
 
 def within_floor_and_rule(theta: np.ndarray) -> bool:

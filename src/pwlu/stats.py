@@ -26,6 +26,10 @@ STD_DDOF = 0
 
 RESERVOIR_CAPACITY = 4096
 
+# The fewest samples per unit from which `percentile_interval`, and so the
+# alignment reports at realignment, estimates its percentiles.
+MIN_PERCENTILE_SAMPLES = 20
+
 
 @dataclass(frozen=True)
 class RunningStats:
@@ -96,7 +100,8 @@ def compute_iou(interval_a, interval_b) -> float | list[float]:
     return np.divide(inter, union, out=same, where=union > 0.0).tolist()
 
 
-def percentile_interval(samples, lo: float = 0.05, hi: float = 0.95, min_samples: int = 20):
+def percentile_interval(samples, lo: float = 0.05, hi: float = 0.95,
+                        min_samples: int = MIN_PERCENTILE_SAMPLES):
     """Nearest-rank percentile interval [p_lo, p_hi] along the last axis (floats, or lists)."""
     samples = np.sort(np.asarray(samples, dtype=np.float64), axis=-1)
     n = samples.shape[-1]

@@ -16,7 +16,7 @@ from pwlu import cli
 from pwlu.checkpoint import load_model
 from pwlu.cli import main
 from pwlu.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_shape_params
-from pwlu.errors import CheckpointError
+from pwlu.errors import CheckpointError, DegenerateParameterError
 
 FAST = ["--dataset", "spirals", "--n-per-class", "40", "--noise", "0.05",
         "--arch", "2,6,2", "--epochs", "4", "--t-prime-epochs", "1",
@@ -89,6 +89,22 @@ class TestValidation:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: type=FileExistsError") and err.count("\n") == 1
+
+    # 10 spirals points at batch 1: each collect epoch gives a channel unit 10 samples,
+    # and a layer unit 10 per hidden channel of its narrowest layer.
+    @pytest.mark.parametrize("extra, code", [
+        (["--t-prime-epochs", "1"], 2),
+        (["--t-prime-epochs", "2"], 0),
+        (["--t-prime-epochs", "1", "--granularity", "layer", "--arch", "2,3,1,2"], 2),
+        (["--t-prime-epochs", "1", "--granularity", "layer", "--arch", "2,2,2"], 0),
+    ])
+    def test_collect_phase_needs_samples_for_the_reports(self, tmp_path, capsys, extra, code):
+        out = tmp_path / "o"
+        argv = ["train", "--n-per-class", "5", "--batch-size", "1", "--epochs", "3", *extra]
+        assert main([*argv, "--out", str(out)]) == code
+        if code == 2:  # rejected before any training
+            assert "field=t_prime_epochs" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
 
     def test_t_prime_ignored_when_realign_off(self, tmp_path):
         code, _ = run_train(tmp_path, extra=["--realign", "off",
@@ -180,17 +196,21 @@ class TestSweep:
         assert code == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
-    def test_error_status_with_a_comma_stays_one_field(self, tmp_path):
-        # 8 training samples: too few for realignment's percentiles, in every run
+    def test_error_status_with_a_comma_stays_one_field(self, tmp_path, monkeypatch):
+        # Every run fails with a runtime fault whose message holds a comma.
+        message = "pwlu0: unit 0: boundary interval [nan, 3.0] is degenerate (width nan)"
+
+        def fail(*args):
+            raise DegenerateParameterError(message)
+
+        monkeypatch.setattr(cli, "run_training", fail)
         out = tmp_path / "sweep"
-        code = main(["sweep-n", "--n-per-class", "4", "--batch-size", "4", "--arch", "2,6,2",
-                     "--epochs", "4", "--t-prime-epochs", "1", "--n-list", "4,8",
-                     "--out", str(out)])
+        code = main(["sweep-n", *FAST, "--n-list", "4,8", "--out", str(out)])
         assert code == 0
         with open(out / "sweep.csv", newline="") as fh:
             table = list(csv.reader(fh))
         assert [len(row) for row in table] == [4, 4, 4]
-        status = "error: need at least 20 samples, got 8"
+        status = f"error: {message}"
         assert table[1:] == [["4", "nan", "nan", status], ["8", "nan", "nan", status]]
 
     def test_unreadable_dataset_exits_1_before_any_run(self, tmp_path, capsys):

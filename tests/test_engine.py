@@ -21,8 +21,8 @@ from pwlu.errors import (
     SharedLayerError,
 )
 from pwlu.kernel import (PwluParams, build_fused, forward_fused, forward_reference,
-                         fused_table, init_pwlu_relu, interval_index, parameters_ok,
-                         segment_table)
+                         fused_table, init_pwlu_relu, interval_index, segment_table,
+                         wide_enough)
 from pwlu.kernel import backward as kernel_backward
 from pwlu.layers import (
     Dense,
@@ -373,9 +373,15 @@ class TestPwluBank:
         trained = {p: getattr(layer, f"g_{p}").copy() for p in layer.params}
         layer.frozen = True
         layer.forward(x)
+        layer.g_theta[...] = np.nan
         frozen_in = layer.backward(up)
         np.testing.assert_array_equal(frozen_in.view(np.uint64), trained_in.view(np.uint64))
-        assert all(getattr(layer, f"g_{p}") is None for p in layer.params)
+        assert same_bits(layer.g_theta, np.full_like(layer.g_theta, np.nan))  # no bit written
+        # and the step leaves theta and its velocity alone
+        layer.v_theta[...] = np.random.default_rng(seed).normal(size=layer.v_theta.shape)
+        kept = layer.theta.copy(), layer.v_theta.copy()
+        layer.step(0.1, 0.9, 0.0)
+        assert same_bits(layer.theta, kept[0]) and same_bits(layer.v_theta, kept[1])
         layer.frozen = False
         layer.forward(x)
         layer.backward(up)
@@ -640,7 +646,7 @@ def step_tail(theta):
         b_l[narrow] = center - 0.5 * min_width[narrow]
         b_r[narrow] = center + 0.5 * min_width[narrow]
         width = b_r - b_l
-    return floored, not parameters_ok(width, theta)
+    return floored, not (wide_enough(width).all() and np.isfinite(theta).all())
 
 
 def address(a):
@@ -650,7 +656,8 @@ def address(a):
 @st.composite
 def step_models(draw):
     """A 2-3-Dense model after backward passes, each bank trained, frozen with a kept
-    gradient, or unfrozen with none; velocities nonzero and signed zeros throughout."""
+    gradient, or unfrozen with its gradient view as it stands (a frozen backward writes
+    none); velocities nonzero and signed zeros throughout."""
     widths = draw(st.lists(st.integers(1, 5), min_size=3, max_size=4))
     activation = draw(st.sampled_from(["pwlu", "pwlu", "relu"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -667,9 +674,7 @@ def step_models(draw):
     signed_zeros = draw(st.booleans())
     for layer in model.layers:
         for p in layer.params:
-            arrays = [getattr(layer, f"v_{p}")]
-            if getattr(layer, f"g_{p}") is not None:
-                arrays.append(getattr(layer, f"g_{p}"))
+            arrays = [getattr(layer, f"v_{p}"), getattr(layer, f"g_{p}")]
             arrays[0][...] = rng.normal(size=arrays[0].shape)
             # Parameters get signed zeros too, but not a bank's boundaries.
             arrays.append(getattr(layer, p)[2:] if p == "theta" else getattr(layer, p))
@@ -695,7 +700,7 @@ class TestModelStep:
                 assert address(getattr(layer, prefix + p)) == address(buffer) + 8 * offset
             offset += getattr(layer, p).size
         for layer in model.pwlu_layers():
-            assert layer.g_theta is None  # until its first backward
+            assert np.shares_memory(layer.g_theta, grads)  # before its first backward too
             assert all(np.shares_memory(view, params) for view in bank_views(layer.theta))
         x, labels = np.ones((4, 3)), np.array([0, 1, 0, 1])
         model.loss_and_backward(x, labels)
@@ -720,7 +725,6 @@ class TestModelStep:
         after = [[getattr(l, name) for p in l.params for name in (p, f"v_{p}")] for l in layers]
         for want, got in zip(before, after):
             assert all(np.array_equal(w, g) for w, g in zip(want, got))
-        assert layers[1].g_theta is None
         assert [l for l, _, _ in model._slices] == [layers[0], layers[2], layers[1]]
 
     @pytest.mark.parametrize("taken", [
@@ -904,7 +908,7 @@ class TestTwoPhaseTraining:
         layer = model.pwlu_layers()[0]
         while trainer.t < sched.realign_iteration:
             trainer.step()
-        assert layer.frozen and layer.g_theta is None
+        assert layer.frozen
         realign, realigned = trainer.realign_now, []
 
         def realign_and_keep():

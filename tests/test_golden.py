@@ -104,7 +104,7 @@ def bank_corpus_hash(n_banks: int = 200, seed: int = 0) -> str:
                 out = layer.forward(x)
                 grad_in = layer.backward(up)
                 arrays = [out, layer.infer(x), grad_in]
-                if layer.g_theta is not None:
+                if not layer.frozen:
                     arrays.append(layer.g_theta)
                 for arr in arrays:
                     digest.update(arr.tobytes())
