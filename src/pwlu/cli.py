@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import logging
 import sys
 import time
 import typing
@@ -25,7 +26,7 @@ from .kernel import (MIN_BOUNDARY_WIDTH, build_fused, forward_fused, forward_ref
 from .layers import ACTIVATIONS, Dense, build_mlp
 from .optim import TrainSchedule
 from .stats import MIN_PERCENTILE_SAMPLES, write_alignment_csv
-from .trainer import Trainer
+from .trainer import Trainer, iters_per_epoch
 
 
 def _option(default, help=None, choices=None, low=None):
@@ -89,6 +90,18 @@ class RunConfig:
                 raise ConfigError("n_list", f"interval counts must be even and >= 2, got {n}")
         return values
 
+    @property
+    def realigns(self) -> bool:
+        """Two-phase training: PWLU units start frozen and collecting, then realign."""
+        return self.realign == "on" and self.activation == "pwlu"
+
+    def schedule(self, n_train: int) -> TrainSchedule:
+        """The epoch counts as iterations over n_train samples, with the optimizer settings."""
+        per_epoch = iters_per_epoch(n_train, self.batch_size)
+        return TrainSchedule(self.epochs * per_epoch,
+                             self.t_prime_epochs * per_epoch if self.realigns else 0,
+                             self.lr, self.momentum, self.weight_decay, seed=self.seed)
+
     def validate(self) -> None:
         self.widths()
         if self.dataset != "spirals":
@@ -111,14 +124,12 @@ class RunConfig:
         if not MIN_BOUNDARY_WIDTH <= 2 * self.half_width < np.inf:
             raise ConfigError("half_width", f"2 * half_width must be finite and >= "
                                             f"{MIN_BOUNDARY_WIDTH}, got {2 * self.half_width}")
-        if self.realign == "on" and self.activation == "pwlu":
-            if not 1 <= self.t_prime_epochs < max(1, self.epochs):
-                raise ConfigError(
-                    "t_prime_epochs",
-                    f"realign=on needs 1 <= t_prime_epochs < epochs "
-                    f"({self.t_prime_epochs} vs {self.epochs})",
-                )
+        if self.realigns and not 1 <= self.t_prime_epochs < self.epochs:
+            raise ConfigError("t_prime_epochs", f"realign=on needs 1 <= t_prime_epochs < epochs "
+                                                f"({self.t_prime_epochs} vs {self.epochs})")
         if self.subcommand == "sweep-n":
+            if self.activation != "pwlu":
+                raise ConfigError("activation", f"sweep-n trains pwlu, got {self.activation!r}")
             self.n_values()
         if self.subcommand == "export" and not self.checkpoint:
             raise ConfigError("checkpoint", "export requires --checkpoint PATH")
@@ -198,12 +209,12 @@ def _load_datasets(config: RunConfig):
         raise ConfigError("arch", f"{config.arch} does not fit the data: need {features} "
                                   f"inputs and at least {classes} outputs")
     hidden = widths[1:-1]
-    if config.realign == "on" and config.activation == "pwlu" and hidden:
+    if config.realigns and hidden:
         # Each collect step feeds a unit one value per batch row, or per hidden
         # channel too when one unit serves the whole layer.
         per_row = min(hidden) if config.granularity == "layer" else 1
-        iters_per_epoch = max(1, train.features.shape[0] // config.batch_size)
-        samples = config.t_prime_epochs * iters_per_epoch * config.batch_size * per_row
+        collect_steps = config.schedule(train.features.shape[0]).realign_iteration
+        samples = collect_steps * config.batch_size * per_row
         if samples < MIN_PERCENTILE_SAMPLES:
             raise ConfigError("t_prime_epochs", f"the collect phase gives each unit {samples} "
                                                 f"samples; the alignment reports need at least "
@@ -214,26 +225,16 @@ def _load_datasets(config: RunConfig):
 def run_training(config: RunConfig, train, test, out_dir: Path) -> dict:
     """Train per the config on the loaded data, write all artifacts, return summary values."""
     widths = config.widths()
-    realign_active = config.realign == "on" and config.activation == "pwlu"
     rng = np.random.default_rng(config.seed)
     model = build_mlp(
         widths, config.activation, rng,
         n_intervals=config.n_intervals, granularity=config.granularity,
         half_width=config.half_width,
-        pwlu_frozen=realign_active, pwlu_collecting=realign_active,
+        pwlu_frozen=config.realigns, pwlu_collecting=config.realigns,
         seed=config.seed,
     )
-    iters_per_epoch = max(1, train.features.shape[0] // config.batch_size)
-    schedule = TrainSchedule(
-        total_iterations=config.epochs * iters_per_epoch,
-        realign_iteration=config.t_prime_epochs * iters_per_epoch if realign_active else 0,
-        base_lr=config.lr,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        seed=config.seed,
-    )
-    trainer = Trainer(model, schedule, train.features, train.labels,
-                      batch_size=config.batch_size,
+    trainer = Trainer(model, config.schedule(train.features.shape[0]),
+                      train.features, train.labels, batch_size=config.batch_size,
                       test_features=test.features, test_labels=test.labels)
     trainer.run()
 
@@ -263,7 +264,7 @@ def cmd_sweep_n(config: RunConfig) -> int:
     rows = []
     for n in config.n_values():
         run_dir = out_dir / f"n{n}"
-        run_cfg = dataclasses.replace(config, n_intervals=n, activation="pwlu", out=str(run_dir))
+        run_cfg = dataclasses.replace(config, n_intervals=n, out=str(run_dir))
         run_dir.mkdir(exist_ok=True)
         try:
             summary = run_training(run_cfg, train, test, run_dir)
@@ -364,12 +365,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _WarningLines(logging.Handler):
+    """Prints each record as one `warning: <message>` line on the current sys.stderr."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        print(f"warning: {record.getMessage()}", file=sys.stderr)
+
+
+_WARNING_LINES = _WarningLines(logging.WARNING)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.getLogger("pwlu").addHandler(_WARNING_LINES)  # a no-op once it is added
     try:
         config = resolve_config(args)
         Path(config.out).mkdir(parents=True, exist_ok=True)
-        return COMMANDS[config.subcommand](config)
+        # The trainer names the first non-finite layer, so numpy's warnings would only
+        # add lines before the one `error:` line.
+        with np.errstate(all="ignore"):
+            return COMMANDS[config.subcommand](config)
     except ConfigError as exc:
         print(f"error: field={exc.field} message={exc.message}", file=sys.stderr)
         return 2

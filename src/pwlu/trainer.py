@@ -12,6 +12,11 @@ from .optim import TrainSchedule
 from .stats import AlignmentReport, compute_iou
 
 
+def iters_per_epoch(n_train: int, batch_size: int) -> int:
+    """The iterations in one epoch: n_train // batch_size, and at least one."""
+    return max(1, n_train // batch_size)
+
+
 class Trainer:
     """Single-threaded step loop over a fixed dataset.
 
@@ -35,7 +40,7 @@ class Trainer:
         self.test_features = test_features
         self.test_labels = test_labels
         self.batch_size = batch_size
-        self.iters_per_epoch = max(1, train_features.shape[0] // batch_size)
+        self.iters_per_epoch = iters_per_epoch(train_features.shape[0], batch_size)
         self.rng = np.random.default_rng(schedule.seed)
         self.t = 0
         self.epoch_loss_sum = 0.0

@@ -1,15 +1,19 @@
 """Command-line interface: validation, artifacts, determinism, precedence."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pwlu
 from pwlu import cli
@@ -17,6 +21,8 @@ from pwlu.checkpoint import load_model
 from pwlu.cli import main
 from pwlu.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_shape_params
 from pwlu.errors import CheckpointError, DegenerateParameterError
+from pwlu.layers import build_mlp
+from pwlu.trainer import Trainer
 
 FAST = ["--dataset", "spirals", "--n-per-class", "40", "--noise", "0.05",
         "--arch", "2,6,2", "--epochs", "4", "--t-prime-epochs", "1",
@@ -65,6 +71,9 @@ class TestValidation:
         (["train", "--half-width", "1e-13"], "half_width"),  # below MIN_BOUNDARY_WIDTH
         (["train", "--momentum", "-0.5"], "momentum"),
         (["train", "--weight-decay", "-0.5"], "weight_decay"),
+        (["sweep-n", "--activation", "relu", "--epochs", "4", "--t-prime-epochs", "4"],
+         "activation"),  # relu skips the t_prime_epochs check, so the sweep must stop here
+        (["sweep-n", "--activation", "swish", "--epochs", "0"], "activation"),
     ])
     def test_rejected_with_exit_2(self, capsys, argv, field):
         assert main(argv) == 2
@@ -106,10 +115,44 @@ class TestValidation:
             assert "field=t_prime_epochs" in capsys.readouterr().err
             assert list(out.iterdir()) == []
 
+    def test_sweep_collect_phase_needs_samples_for_the_reports(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["sweep-n", "--n-per-class", "5", "--batch-size", "1", "--epochs", "3",
+                "--t-prime-epochs", "1", "--n-list", "4,8"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "field=t_prime_epochs" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_t_prime_ignored_when_realign_off(self, tmp_path):
         code, _ = run_train(tmp_path, extra=["--realign", "off",
                                              "--t-prime-epochs", "99"])
         assert code == 0
+
+
+class TestSchedule:
+    """`RunConfig.schedule` turns the config's epochs into the trainer's iterations."""
+
+    def test_realign_off_or_no_pwlu_has_no_realign_iteration(self):
+        for fields in (dict(realign="off"), dict(activation="relu")):
+            config = cli.RunConfig("train", epochs=4, t_prime_epochs=1, **fields)
+            assert config.schedule(1200).realign_iteration == 0
+
+    def test_batch_larger_than_the_data_is_one_iteration_per_epoch(self):
+        schedule = cli.RunConfig("train", epochs=4, t_prime_epochs=1, batch_size=64).schedule(10)
+        assert (schedule.total_iterations, schedule.realign_iteration) == (4, 1)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 3000), st.integers(1, 300), st.integers(2, 8), st.data())
+    def test_iterations_are_whole_trainer_epochs(self, n_train, batch_size, epochs, data):
+        t_prime = data.draw(st.integers(1, epochs - 1))
+        config = cli.RunConfig("train", epochs=epochs, t_prime_epochs=t_prime,
+                               batch_size=batch_size)
+        schedule = config.schedule(n_train)
+        model = build_mlp([2, 2], "relu", np.random.default_rng(0))
+        trainer = Trainer(model, schedule, np.zeros((n_train, 2)),
+                          np.zeros(n_train, dtype=np.int64), batch_size=batch_size)
+        assert schedule.total_iterations == epochs * trainer.iters_per_epoch
+        assert schedule.realign_iteration == t_prime * trainer.iters_per_epoch
 
 
 class TestTrain:
@@ -138,8 +181,6 @@ class TestTrain:
         assert (a / "metrics.csv").read_bytes() != (b / "metrics.csv").read_bytes()
 
     def test_zero_epochs_checkpoint_is_init(self, tmp_path):
-        from pwlu.layers import build_mlp
-
         code, out = run_train(tmp_path, extra=["--epochs", "0", "--realign", "off"])
         assert code == 0
         model = load_model(out / "checkpoint.bin")
@@ -173,6 +214,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: type=IdxFormatError") and err.count("\n") == 1
         assert f"{samples} samples, need at least 2" in err
+
+    def test_diverging_run_prints_one_error_line(self, tmp_path, capsys):
+        # Overflows in the bank, the Dense matmul and the loss: numpy's warnings stay silent.
+        argv = ["train", "--n-per-class", "5", "--batch-size", "1", "--epochs", "3",
+                "--t-prime-epochs", "1", "--granularity", "layer"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: type=NonFiniteLossError") and err.count("\n") == 1
 
     def test_relu_baseline_runs(self, tmp_path, capsys):
         code, out = run_train(tmp_path, extra=["--activation", "relu"])
@@ -380,6 +429,115 @@ class TestModuleEntryPoint:
         proc = self.python_m_pwlu("train", "--epochs", "-1")
         assert proc.returncode == 2
         assert "field=epochs" in proc.stderr
+
+    # Batch 1 gives every unit a batch std of 0, so all four units are dead at realignment.
+    DEAD_UNITS = ["train", "--n-per-class", "100", "--batch-size", "1", "--epochs", "2",
+                  "--t-prime-epochs", "1", "--arch", "2,4,2"]
+    DEAD_UNIT_LINE = ("warning: 4 unit(s) with input std below 1e-08; "
+                      "realigning them to fixed half-width 0.50")
+
+    def test_library_warning_is_one_prefixed_line(self, tmp_path):
+        proc = self.python_m_pwlu(*self.DEAD_UNITS, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [self.DEAD_UNIT_LINE]
+
+    def test_repeated_main_calls_print_each_warning_once(self, tmp_path):
+        script = ("import sys; from pwlu.cli import main; "
+                  "sys.exit(main(sys.argv[1:]) or main(sys.argv[1:]))")
+        proc = run_python("-c", script, *self.DEAD_UNITS, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [self.DEAD_UNIT_LINE] * 2
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    assert main(["train", "--n-per-class", "5", "--arch", "2,3,2", "--epochs", "1",
+                 "--realign", "off", "--n-intervals", "4", "--out", str(out)]) == 0
+    return out / "checkpoint.bin"
+
+
+# Each option's values that keep a run valid, then values that make it exit 1 or 2 whatever
+# the others are.  `checkpoint` and `out` name paths that the test makes.  The ALWAYS
+# options keep every run small (the defaults train on 1,200 points for 60 epochs) and the
+# collect phase shorter than the epochs, with at least the 20 samples the reports need;
+# every other option is left out or drawn.
+CONTRACT_OPTIONS = {
+    "dataset": (["spirals"], ["idx:one_path", "idx:missing_images,missing_labels", "mnist"]),
+    "arch": (["2,4,2", "2,3,3,2", "2,16,16,2"], ["2", "2,x,2", "2,8,1", "3,4,2"]),
+    "activation": (["pwlu", "relu", "swish"], ["gelu"]),
+    "n_intervals": (["2", "4", "16"], ["3", "0"]),
+    "granularity": (["channel", "layer"], ["unit"]),
+    "realign": (["on", "off"], ["maybe"]),
+    "t_prime_epochs": (["1"], ["0", "4"]),
+    "half_width": (["0.5", "3.0", "10"], ["-1", "nan", "inf", "1e308"]),
+    "epochs": (["2", "4"], ["-1", "abc"]),
+    "lr": (["0.01", "0.1", "10"], ["-0.5", "nan"]),
+    "momentum": (["0", "0.9"], ["-1", "inf"]),
+    "weight_decay": (["0", "0.1"], ["-0.5", "nan"]),
+    "batch_size": (["1", "2", "4"], ["0", "x"]),
+    "seed": (["0", "1"], ["-1"]),
+    "n_per_class": (["10", "20"], ["0"]),
+    "noise": (["0", "0.02", "1"], ["-1", "nan"]),
+    "n_list": (["4", "4,8", "2,16"], ["4,4", "3", "", "a"]),
+    "repetitions": (["1"], ["0"]),
+    "batch_elems": (["1", "100", "1000"], ["0"]),
+    "checkpoint": (["tiny"], ["missing"]),
+    "out": (["o"], ["file"]),
+}
+ALWAYS = {"t_prime_epochs", "epochs", "n_per_class", "n_list", "repetitions", "batch_elems",
+          "out"}
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its options; none, one or two options take a failing value."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    pools = dict(CONTRACT_OPTIONS)
+    if command == "sweep-n":  # it trains pwlu and rejects any other activation
+        pools["activation"] = (["pwlu"], ["relu", "swish", "gelu"])
+    n_broken = draw(st.sampled_from([0] * 8 + [1, 2]))  # a third or more exit 0
+    broken = draw(st.sets(st.sampled_from(sorted(pools)), min_size=n_broken, max_size=n_broken))
+    always = ALWAYS | broken | ({"checkpoint"} if command == "export" else set())
+    options = {}
+    for name, (valid, invalid) in pools.items():
+        pool = st.sampled_from(invalid if name in broken else valid)
+        value = draw(pool if name in always else st.none() | pool)
+        if value is not None:
+            options[name] = value
+    return command, options
+
+
+class TestContract:
+    """Every command line exits 0, 1 or 2, with stderr lines that a script can parse."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(command_lines())
+    @example(("sweep-n", dict(activation="relu", n_per_class="20", arch="2,4,2", epochs="4",
+                              t_prime_epochs="4", n_list="4")))
+    @example(("train", dict(n_per_class="5", batch_size="1", epochs="3", t_prime_epochs="1",
+                            granularity="layer")))
+    def test_exit_code_and_stderr(self, tiny_checkpoint, line):
+        command, options = line
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"tiny": str(tiny_checkpoint), "missing": str(Path(tmp, "missing.bin")),
+                     "o": str(Path(tmp, "o")), "file": str(Path(tmp, "file"))}
+            Path(paths["file"]).write_text("")
+            argv = [command]
+            for name, value in {"out": "o", **options}.items():
+                if name in ("checkpoint", "out"):
+                    value = paths[value]
+                argv += ["--" + name.replace("_", "-"), value]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert lines and lines[-1].startswith("error: ")
+            lines = lines[:-1]
+        assert all(line.startswith("warning: ") for line in lines), lines
 
 
 # ab_pairs.py and bank_bench.py are left out: they time runs and have no result to check
