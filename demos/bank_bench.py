@@ -12,9 +12,10 @@ same parameters.
 
 The bank is trained (neither frozen nor collecting) for forward, backward and
 step.  Two more rows time the paths that read the bank's kept tables, which
-are built once per parameter write: `frozen-fwd`, the forward of a frozen
-bank that is not collecting (the collect phase), and `infer`, the fused
-inference path (predict and eval).  1024x32 is the spirals predict batch.
+are built once per parameter write: `frozen-fwd`, the training forward of a
+frozen bank that is not collecting, which is the collect phase's read of the
+kept table without its statistics update, and `infer`, the fused inference
+path (predict and eval).  1024x32 is the spirals predict batch.
 
 Run:  python demos/bank_bench.py
 """

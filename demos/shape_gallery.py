@@ -15,6 +15,7 @@ import numpy as np
 from pwlu import (TrainSchedule, Trainer, build_mlp, export_shapes,
                   forward_reference, gen_spirals, load_shape_params,
                   standardize)
+from pwlu.trainer import iters_per_epoch
 
 train = gen_spirals(300, 0.02, 0)
 test = gen_spirals(300, 0.02, 100_000)
@@ -22,7 +23,7 @@ train, test = standardize(train, test)
 
 model = build_mlp([2, 8, 2], "pwlu", np.random.default_rng(0), n_intervals=8,
                   pwlu_frozen=True, pwlu_collecting=True, seed=0)
-ipe = train.features.shape[0] // 64
+ipe = iters_per_epoch(train.features.shape[0], 64)
 schedule = TrainSchedule(total_iterations=40 * ipe, realign_iteration=5 * ipe,
                          base_lr=0.1, seed=0)
 Trainer(model, schedule, train.features, train.labels, batch_size=64).run()

@@ -10,6 +10,7 @@ Run:  python demos/train_spirals.py
 import numpy as np
 
 from pwlu import TrainSchedule, Trainer, build_mlp, gen_spirals, standardize
+from pwlu.trainer import iters_per_epoch
 
 SEED = 0
 EPOCHS = 60
@@ -18,7 +19,7 @@ BATCH = 64
 train = gen_spirals(600, 0.02, SEED)
 test = gen_spirals(600, 0.02, SEED + 100_000)
 train, test = standardize(train, test)
-ipe = train.features.shape[0] // BATCH
+ipe = iters_per_epoch(train.features.shape[0], BATCH)
 
 
 def run(label, activation, half_width=3.0, realign=False):

@@ -22,8 +22,8 @@ from .checkpoint import load_model, save_checkpoint
 from .data import export_shapes, gen_spirals, load_idx, standardize
 from .errors import ConfigError, IdxFormatError, PwluError
 from .kernel import (MIN_BOUNDARY_WIDTH, build_fused, forward_fused, forward_reference,
-                     init_pwlu_relu)
-from .layers import ACTIVATIONS, Dense, build_mlp
+                     init_pwlu_relu, wide_enough)
+from .layers import ACTIVATIONS, GRANULARITIES, Dense, build_mlp
 from .optim import TrainSchedule
 from .stats import MIN_PERCENTILE_SAMPLES, write_alignment_csv
 from .trainer import Trainer, iters_per_epoch
@@ -34,6 +34,11 @@ def _option(default, help=None, choices=None, low=None):
     if choices:
         help = "|".join(choices)
     return dataclasses.field(default=default, metadata=dict(help=help, choices=choices, low=low))
+
+
+def _check_interval_count(field: str, n: int, subject: str = "") -> None:
+    if n < 2 or n % 2 != 0:  # ReLU initialization puts 0 on a knot
+        raise ConfigError(field, f"{subject}must be even and >= 2, got {n}")
 
 
 @dataclasses.dataclass
@@ -49,7 +54,7 @@ class RunConfig:
     arch: str = _option("2,32,32,2", "comma-separated layer widths")
     activation: str = _option("pwlu", choices=tuple(ACTIVATIONS))
     n_intervals: int = 16
-    granularity: str = _option("channel", choices=("layer", "channel"))
+    granularity: str = _option("channel", choices=GRANULARITIES)
     realign: str = _option("on", choices=("on", "off"))
     t_prime_epochs: int = 5
     half_width: float = 3.0
@@ -86,8 +91,7 @@ class RunConfig:
         if len(set(values)) != len(values):
             raise ConfigError("n_list", f"duplicate interval counts in {values}")
         for n in values:
-            if n < 2 or n % 2 != 0:
-                raise ConfigError("n_list", f"interval counts must be even and >= 2, got {n}")
+            _check_interval_count("n_list", n, "interval counts ")
         return values
 
     @property
@@ -119,9 +123,8 @@ class RunConfig:
             low = option.metadata.get("low")
             if low is not None and value < low:
                 raise ConfigError(name, f"must be >= {low}, got {value}")
-        if self.n_intervals < 2 or self.n_intervals % 2 != 0:
-            raise ConfigError("n_intervals", f"must be even and >= 2, got {self.n_intervals}")
-        if not MIN_BOUNDARY_WIDTH <= 2 * self.half_width < np.inf:
+        _check_interval_count("n_intervals", self.n_intervals)
+        if not wide_enough(2 * self.half_width):
             raise ConfigError("half_width", f"2 * half_width must be finite and >= "
                                             f"{MIN_BOUNDARY_WIDTH}, got {2 * self.half_width}")
         if self.realigns and not 1 <= self.t_prime_epochs < self.epochs:
@@ -309,6 +312,13 @@ def cmd_bench(config: RunConfig) -> int:
     x = rng.normal(0.0, 2.0, size=config.batch_elems)
     table64 = build_fused(params)
     table32 = build_fused(params, dtype=np.float32)
+    # A range check only: the float32 cast may overflow an entry to inf or underflow
+    # the inverse interval length to 0. A table in range still misplaces small inputs.
+    entries = (table32.left_boundary, table32.slopes, table32.offsets)
+    if not all(np.isfinite(v).all() for v in entries) or not table32.inv_interval_len > 0:
+        raise ConfigError("checkpoint" if config.checkpoint else "half_width",
+                          "the unit exceeds float32's range: its float32 table has an "
+                          "entry that is not finite or a zero inverse interval length")
     x32 = x.astype(np.float32)
 
     kernels = [

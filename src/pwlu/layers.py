@@ -201,8 +201,8 @@ class PwluActivation(Layer):
     def __init__(self, n_channels: int, n_intervals: int = 16, granularity: str = "channel",
                  half_width: float = 3.0, frozen: bool = False, collecting: bool = False,
                  seed: int = 0, name: str = "pwlu"):
-        if granularity not in ("channel", "layer"):
-            raise ValueError(f"granularity must be 'channel' or 'layer', got {granularity!r}")
+        if granularity not in GRANULARITIES:
+            raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
         self.name = name
         self.granularity = granularity
         self.n_channels = n_channels
@@ -458,9 +458,7 @@ class PwluActivation(Layer):
         """Widen every interval narrower than its floor, then apply the parameter rule."""
         b_l, b_r = self.b_l, self.b_r
         width = b_r - b_l
-        # Keep the interval from collapsing under a large boundary step;
-        # the floor is relative so it survives large magnitudes.
-        min_width = np.maximum(1e-6, 1e-9 * np.abs(self.theta[:2]).sum(axis=0))
+        min_width = np.maximum(FLOOR, FLOOR_PER_MAGNITUDE * np.abs(self.theta[:2]).sum(axis=0))
         if not (width >= min_width).all():  # some width is narrow, or NaN
             narrow = width < min_width
             center = 0.5 * (b_l[narrow] + b_r[narrow])
@@ -473,16 +471,16 @@ def within_floor_and_rule(theta: np.ndarray) -> bool:
     """A test of a bank's (N+5, U) parameters in three reductions and one
     subtraction that implies `_floor_and_check` would change and raise nothing.
 
-    Every entry lies in [lo, hi], and hi - lo is finite, so both are and no
-    width overflows.  Each unit's floor max(1e-6, 1e-9 * (|b_l| + |b_r|)) is
-    at most max(1e-6, 2e-9 * max(hi, -lo)) (2e-9 is 2 * 1e-9 exactly, and
-    rounding keeps order), so the narrowest width clearing that clears every
-    floor, and the 1e-12 of the rule.  False only sends the bank to the full code.
+    Every entry lies in [lo, hi], and hi - lo is finite, so both are and no width overflows.
+    Each unit's floor is at most max(FLOOR, 2 * FLOOR_PER_MAGNITUDE * max(hi, -lo)) (doubling
+    is exact, and rounding keeps order), so a narrowest width clearing that clears every floor
+    and the rule's MIN_BOUNDARY_WIDTH <= FLOOR.  False only sends the bank to the full code.
     """
     lo, hi = float(np.minimum.reduce(theta, None)), float(np.maximum.reduce(theta, None))
     if not hi - lo < math.inf:  # false too for NaN, and for an infinite lo or hi
         return False
-    return float(np.minimum.reduce(theta[1] - theta[0])) >= max(1e-6, 2e-9 * max(hi, -lo))
+    floor = max(FLOOR, 2 * FLOOR_PER_MAGNITUDE * max(hi, -lo))
+    return float(np.minimum.reduce(theta[1] - theta[0])) >= floor
 
 
 def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray):
@@ -601,9 +599,13 @@ class Model:
         return None
 
 
-# Every layer type by its name; `build_mlp` and the CLI choose among ACTIVATIONS.
+# Layer types by name (`build_mlp` and the CLI choose among ACTIVATIONS), and bank granularities.
 ACTIVATIONS = {cls.kind: cls for cls in (Relu, Swish, PwluActivation)}
 LAYER_TYPES = {Dense.kind: Dense, **ACTIVATIONS}
+GRANULARITIES = ("layer", "channel")
+# The interval floor max(FLOOR, FLOOR_PER_MAGNITUDE * (|b_l| + |b_r|)) keeps an interval from
+# collapsing under a large boundary step; it is relative so it survives large magnitudes.
+FLOOR, FLOOR_PER_MAGNITUDE = 1e-6, 1e-9
 
 
 def build_mlp(widths: list[int], activation: str, rng: np.random.Generator,

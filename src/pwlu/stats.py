@@ -26,8 +26,9 @@ STD_DDOF = 0
 
 RESERVOIR_CAPACITY = 4096
 
-# The fewest samples per unit from which `percentile_interval`, and so the
-# alignment reports at realignment, estimates its percentiles.
+# The alignment reports' percentiles (p05, p95), and the fewest samples per unit
+# from which `percentile_interval`, and so the reports at realignment, estimates them.
+PERCENTILES = (0.05, 0.95)
 MIN_PERCENTILE_SAMPLES = 20
 
 
@@ -40,8 +41,8 @@ class RunningStats:
     update_count: int = 0
 
 
-def update_stats(stats: RunningStats, batch, momentum: float = STATS_MOMENTUM) -> RunningStats:
-    """Blend each row of a batch into the stats: new = momentum*old + (1-momentum)*batch.
+def update_stats(stats: RunningStats, batch) -> RunningStats:
+    """Blend each row of a batch into the stats: new = m*old + (1-m)*batch, m = STATS_MOMENTUM.
 
     Each row's mean is formed once and its std derived from it in the steps
     of numpy's `std`, so both have the bits of `batch.mean(-1)` and
@@ -55,8 +56,8 @@ def update_stats(stats: RunningStats, batch, momentum: float = STATS_MOMENTUM) -
     sq_dev = batch - batch_mean
     sq_dev *= sq_dev
     batch_std = np.sqrt(np.add.reduce(sq_dev, -1) / (n - STD_DDOF))
-    mean = momentum * stats.mean + (1.0 - momentum) * batch_mean[..., 0]
-    std = momentum * stats.std + (1.0 - momentum) * batch_std
+    mean = STATS_MOMENTUM * stats.mean + (1.0 - STATS_MOMENTUM) * batch_mean[..., 0]
+    std = STATS_MOMENTUM * stats.std + (1.0 - STATS_MOMENTUM) * batch_std
     if batch.ndim == 1:  # one unit keeps plain floats
         mean, std = float(mean), float(std)
     return RunningStats(mean=mean, std=std, update_count=stats.update_count + 1)
@@ -100,15 +101,14 @@ def compute_iou(interval_a, interval_b) -> float | list[float]:
     return np.divide(inter, union, out=same, where=union > 0.0).tolist()
 
 
-def percentile_interval(samples, lo: float = 0.05, hi: float = 0.95,
-                        min_samples: int = MIN_PERCENTILE_SAMPLES):
-    """Nearest-rank percentile interval [p_lo, p_hi] along the last axis (floats, or lists)."""
+def percentile_interval(samples):
+    """Nearest-rank interval [p05, p95] (`PERCENTILES`) along the last axis (floats, or lists)."""
     samples = np.sort(np.asarray(samples, dtype=np.float64), axis=-1)
     n = samples.shape[-1]
-    if n < min_samples:
-        raise InsufficientSamplesError(f"need at least {min_samples} samples, got {n}")
-    rank_lo = int(np.ceil(lo * n)) - 1
-    rank_hi = int(np.ceil(hi * n)) - 1
+    if n < MIN_PERCENTILE_SAMPLES:
+        raise InsufficientSamplesError(f"need at least {MIN_PERCENTILE_SAMPLES} samples, got {n}")
+    rank_lo = int(np.ceil(PERCENTILES[0] * n)) - 1
+    rank_hi = int(np.ceil(PERCENTILES[1] * n)) - 1
     return samples[..., rank_lo].tolist(), samples[..., rank_hi].tolist()
 
 
@@ -150,8 +150,8 @@ class Reservoir:
     def values(self) -> np.ndarray:
         return self.buffer[..., : min(self.seen, self.capacity)].copy()
 
-    def percentile_interval(self, lo: float = 0.05, hi: float = 0.95):
-        return percentile_interval(self.buffer[..., : min(self.seen, self.capacity)], lo=lo, hi=hi)
+    def percentile_interval(self):
+        return percentile_interval(self.buffer[..., : min(self.seen, self.capacity)])
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import pwlu
 from pwlu import cli
-from pwlu.checkpoint import load_model
+from pwlu.checkpoint import load_model, save_checkpoint
 from pwlu.cli import main
 from pwlu.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_shape_params
 from pwlu.errors import CheckpointError, DegenerateParameterError
+from pwlu.kernel import init_pwlu_relu
 from pwlu.layers import build_mlp
+from pwlu.optim import TrainSchedule
 from pwlu.trainer import Trainer
 
 FAST = ["--dataset", "spirals", "--n-per-class", "40", "--noise", "0.05",
@@ -297,6 +299,43 @@ class TestBench:
         assert [r[0] for r in rows] == ["relu", "reference", "fused_f64", "fused_f32",
                                         "model_forward", "model_predict"]
         assert all(float(mean) > 0 and float(std) >= 0 for _, mean, std in rows)
+
+    def assert_rejected_before_timing(self, capsys, out, argv, field):
+        code = main(["bench", *argv, "--repetitions", "1", "--batch-elems", "100",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field={field} message=") and err.count("\n") == 1
+        assert not (out / "bench.csv").exists()
+
+    def test_half_width_beyond_float32_is_rejected(self, tmp_path, capsys):
+        # 1e200 casts to an infinite float32 boundary: fused_f32 would time a table
+        # that gives 0 for every input.
+        self.assert_rejected_before_timing(capsys, tmp_path / "bench",
+                                           ["--half-width", "1e200"], "half_width")
+
+    @pytest.mark.parametrize("center,half_width", [(0.0, 1e200), (5e299, 5e299)])
+    def test_checkpoint_unit_beyond_float32_is_rejected(self, tmp_path, capsys, center,
+                                                        half_width):
+        # [0, 1e300] casts to finite float32 entries but a zero inverse interval length,
+        # which sends every input to one segment.
+        model = build_mlp([2, 4, 2], "pwlu", np.random.default_rng(0), n_intervals=4)
+        bank, unit = model.pwlu_layers()[0], init_pwlu_relu(4, half_width, center=center)
+        bank.b_l[0], bank.b_r[0] = unit.left_boundary, unit.right_boundary
+        bank.y[0] = unit.y_points
+        trainer = Trainer(model, TrainSchedule(1, 0, 0.1), np.zeros((4, 2)),
+                          np.zeros(4, np.int64))
+        save_checkpoint(tmp_path / "checkpoint.bin", trainer)
+        self.assert_rejected_before_timing(
+            capsys, tmp_path / "bench", ["--checkpoint", str(tmp_path / "checkpoint.bin")],
+            "checkpoint")
+
+    def test_half_width_within_float32_is_timed(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        code = main(["bench", "--half-width", "1e38", "--repetitions", "1",
+                     "--batch-elems", "100", "--out", str(out)])
+        assert code == 0
+        assert (out / "bench.csv").read_text().count("\n") == 5
 
 
 class TestExport:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import re
 import struct
 
 import numpy as np
@@ -20,11 +21,14 @@ from pwlu.errors import (
     ShapeMismatchError,
     SharedLayerError,
 )
-from pwlu.kernel import (PwluParams, build_fused, forward_fused, forward_reference,
-                         fused_table, init_pwlu_relu, interval_index, segment_table,
-                         wide_enough)
+from pwlu.kernel import (MIN_BOUNDARY_WIDTH, PwluParams, build_fused, forward_fused,
+                         forward_reference, fused_table, init_pwlu_relu, interval_index,
+                         segment_table, wide_enough)
 from pwlu.kernel import backward as kernel_backward
 from pwlu.layers import (
+    FLOOR,
+    FLOOR_PER_MAGNITUDE,
+    GRANULARITIES,
     Dense,
     Model,
     PwluActivation,
@@ -573,6 +577,16 @@ class TestPwluBank:
         with pytest.raises(ShapeMismatchError):
             getattr(layer, method)(np.zeros((5, 4)))
 
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_every_granularity_builds_a_bank(self, granularity):
+        layer = PwluActivation(3, granularity=granularity)
+        assert layer.granularity == granularity
+        assert layer.forward(np.ones((2, 3))).shape == (2, 3)
+
+    def test_other_granularity_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(f"must be one of {GRANULARITIES}")):
+            PwluActivation(3, granularity="unit")
+
     @settings(deadline=None, max_examples=30)
     @given(banks())
     def test_units_read_only(self, bank):
@@ -839,6 +853,35 @@ class TestBankStepCheck:
         else:
             layer._after_step()
             assert same_bits(layer.theta, want)
+
+    def test_floor_clears_the_parameter_rule(self):
+        # The fast test's implication: a width that clears the floor clears the rule.
+        assert FLOOR >= MIN_BOUNDARY_WIDTH
+        assert (FLOOR, FLOOR_PER_MAGNITUDE) == (1e-6, 1e-9)  # the values step_tail spells out
+
+    @staticmethod
+    def bank_with_narrowest_width(width):
+        """A 3-unit bank of small magnitude whose unit 1 spans [0, width]."""
+        layer = PwluActivation(3, n_intervals=4)
+        layer.b_l[1], layer.b_r[1] = 0.0, width
+        return layer
+
+    def test_a_width_at_the_floor_passes_both_readers(self):
+        layer = self.bank_with_narrowest_width(FLOOR)
+        before = layer.theta.copy()
+        assert within_floor_and_rule(layer.theta)
+        layer._floor_and_check()
+        assert same_bits(layer.theta, before)
+
+    def test_a_width_below_the_floor_fails_the_fast_test_and_is_widened(self):
+        narrow = np.nextafter(FLOOR, 0.0)
+        layer = self.bank_with_narrowest_width(narrow)
+        before = layer.theta.copy()
+        assert not within_floor_and_rule(layer.theta)
+        layer._floor_and_check()
+        center = 0.5 * narrow  # the unit is set FLOOR wide around its center
+        assert (layer.b_l[1], layer.b_r[1]) == (center - 0.5 * FLOOR, center + 0.5 * FLOOR)
+        assert same_bits(layer.theta[:, [0, 2]], before[:, [0, 2]])
 
 
 class TestSchedule:

@@ -54,7 +54,7 @@ class TestUpdateStats:
             old = RunningStats(rng.normal(size=units), rng.random(units), 3)
         else:
             old = RunningStats(float(rng.normal()), float(rng.random()), 3)
-        new = update_stats(old, batch, momentum=0.9)
+        new = update_stats(old, batch)
         want_mean = 0.9 * old.mean + (1.0 - 0.9) * batch.mean(-1)
         want_std = 0.9 * old.std + (1.0 - 0.9) * batch.std(-1)
         for got, want in ((new.mean, want_mean), (new.std, want_std)):
