@@ -11,11 +11,14 @@ one that feeds a bank.  The step uses lr 0, so that every repeat steps the
 same parameters.
 
 The bank is trained (neither frozen nor collecting) for forward, backward and
-step.  Two more rows time the paths that read the bank's kept tables, which
-are built once per parameter write: `frozen-fwd`, the training forward of a
-frozen bank that is not collecting, which is the collect phase's read of the
-kept table without its statistics update, and `infer`, the fused inference
-path (predict and eval).  1024x32 is the spirals predict batch.
+step.  Its forward reads its kept segment table, as a trained forward in a
+model does; there `Model.step` builds one table per group of banks, which
+these rows of a lone bank do not time.  Two more rows time the paths that
+read the bank's kept tables, which are built once per parameter write:
+`frozen-fwd`, the training forward of a frozen bank that is not collecting,
+which is the collect phase's read of the kept table without its statistics
+update, and `infer`, the fused inference path (predict and eval).  1024x32
+is the spirals predict batch.
 
 Run:  python demos/bank_bench.py
 """

@@ -86,8 +86,6 @@ class RunConfig:
             values = [int(n) for n in self.n_list.split(",")]
         except ValueError:
             raise ConfigError("n_list", f"not a comma-separated integer list: {self.n_list!r}")
-        if not values:
-            raise ConfigError("n_list", "must be non-empty")
         if len(set(values)) != len(values):
             raise ConfigError("n_list", f"duplicate interval counts in {values}")
         for n in values:

@@ -21,9 +21,10 @@ class Layer:
     """One layer of a `Model`.
 
     A layer with trained arrays keeps them, their gradients and their
-    velocities in rows 0, 1 and 2 of one (3, size) block (`_bind`): its own
-    until a `Model` copies it into the model's buffers and rebinds the layer
-    to its slice of them.
+    velocities in planes 0, 1 and 2 of one block (`_bind`): a (3, size)
+    block for a Dense layer, a (3, N+5, U) one for a PWLU bank.  The block is
+    the layer's own until a `Model` copies it into the model's buffers and
+    rebinds the layer to its part of them.
     """
 
     # The type name: the checkpoint manifest's `type` and, for an activation, `build_mlp`'s.
@@ -62,8 +63,8 @@ class Layer:
 
     def _bind(self, block) -> None:
         """Rebind the trained arrays, their g_ and their v_ as views of rows 0, 1
-        and 2 of `block`, in `params` order; `Model` binds every layer to a slice
-        of its own block."""
+        and 2 of a (3, size) `block`, in `params` order; `Model` binds every
+        layer to its part of its own block."""
         self._block = block
         start = 0
         for name in self.params:
@@ -172,12 +173,15 @@ class PwluActivation(Layer):
     The parameters of all units are stored once, in one (N+5, U) array
     `theta`; b_l, b_r, k_l, k_r (U,) and y (U, N+1) are views of it
     (`bank_views`), written in place, never rebound.  `v_theta` and `g_theta`
-    share its layout; in a `Model` all three are views of the model's buffers,
-    updated in the model's one optimizer call.  A trained backward writes
-    every entry of `g_theta`.  After an update `_after_step` keeps the
-    intervals above their floor and checks the parameter rule, in full only
-    when `within_floor_and_rule`, four array operations, cannot show that
-    nothing needs doing.  `units` is a read-only snapshot of the parameters
+    share its layout.  The three are planes of one (3, N+5, U) block, the
+    bank's own; in a `Model` they are the bank's columns of the (N+5, ΣU)
+    arrays that its group, every bank with N intervals, shares in the
+    model's buffers, updated in the model's one optimizer call.  A trained
+    backward writes every entry of `g_theta`.  After an update `_after_step`
+    keeps the intervals above their floor and checks the parameter rule, in
+    full only when `within_floor_and_rule`, four array operations, cannot
+    show that nothing needs doing; `Model.step` runs that test once per
+    group.  `units` is a read-only snapshot of the parameters
     as one-unit PwluParams.  The statistics are over units too:
     `running_stats`, with (U,) mean and std, and the U streams of
     `reservoir`, which share one generator; `stats` is a read-only snapshot
@@ -190,8 +194,9 @@ class PwluActivation(Layer):
     plane 0 of a (2, elements, U) index pair, whose plane 1 the backward
     fills with the upper height's index; any other forward keeps the
     (elements, U) index alone.  The segment and fused tables are built once
-    per parameter write and kept in `_tables` (see `_table`) for `infer` and
-    the frozen forward; the trained forward builds its own.
+    per parameter write and kept in `_tables` (see `_table`) for every
+    forward and `infer`; after a step `Model.step` builds one segment table
+    per group and keeps each bank's rows of it.
     """
 
     kind = "pwlu"
@@ -222,7 +227,10 @@ class PwluActivation(Layer):
         self._tables = [None, None, None]  # theta's bytes, its segment table, its fused table
 
     def _bind(self, block):
-        super()._bind(block)
+        """Bind theta, g_theta and v_theta to the (N+5, U) planes of `block`: the
+        bank's own (3, size) block, or its columns of its group's in a `Model`."""
+        self._block = block.reshape(3, self.n_intervals + 5, -1)  # a view, never a copy
+        self.theta, self.g_theta, self.v_theta = self._block
         self.b_l, self.b_r, self.k_l, self.k_r, self.y = bank_views(self.theta)
 
     @property
@@ -350,9 +358,7 @@ class PwluActivation(Layer):
         else:
             seg = index = np.empty(xc.shape, np.int64)
         left, right = self._segments(xc, d, seg)
-        # A trained forward follows a step, so a kept table would never be read.
-        edges, slopes, heights = (self._table(1, segment_table) if self.frozen else
-                                  segment_table(self.b_l, self.b_r, self.y, self.k_l, self.k_r))
+        edges, slopes, heights = self._table(1, segment_table)
         edge, slope = edges.take(seg), slopes.take(seg)
         offset = xc - edge
         # Backward reads these, not the parameters: step() changes them only after it.
@@ -464,6 +470,11 @@ class PwluActivation(Layer):
             center = 0.5 * (b_l[narrow] + b_r[narrow])
             b_l[narrow] = center - 0.5 * min_width[narrow]
             b_r[narrow] = center + 0.5 * min_width[narrow]
+            # The new width can round below min_width: b_r moves up an ulp at a time till it clears.
+            short = b_r - b_l < min_width
+            while short.any():
+                b_r[short] = np.nextafter(b_r[short], math.inf)
+                short = b_r - b_l < min_width
         self.check_params()
 
 
@@ -490,11 +501,12 @@ def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray):
     """
     if logits.shape[0] != labels.shape[0]:
         raise ShapeMismatchError(f"{logits.shape[0]} logits rows vs {labels.shape[0]} labels")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # The ufunc reductions have the bits of .max(), .sum() and .mean() without their wrappers.
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = exp / np.add.reduce(exp, axis=1, keepdims=True)
     n = logits.shape[0]
-    loss = -np.log(probs[np.arange(n), labels] + 1e-300).mean()
+    loss = -np.add.reduce(np.log(probs[np.arange(n), labels] + 1e-300)) / n
     return float(loss), probs
 
 
@@ -512,21 +524,27 @@ class Model:
     The model owns one flat float64 buffer each for the parameters, their
     gradients and their velocities, `buffers`, the rows of one (3, size)
     block.  Every layer's trained arrays and their g_ and v_ arrays are views
-    of them (`Layer._bind`): the Dense layers' first, then the PWLU banks'.
-    So a step is one `sgd_momentum_step` per run of adjacent trained arrays
-    that share a weight decay: one while `weight_decay` is 0 or while every
-    bank is frozen, else one for the Dense layers and one for the trained
-    banks, which never decay.  The model copies the layers' own blocks into
-    its block in one call and rebinds their arrays; from then on they are
-    written in place, never rebound.  A layer with trained arrays takes one
-    place in one model: listing it twice, or building a second model on it,
-    raises SharedLayerError, since its second backward would overwrite the
-    first's gradient, or only one of the two models could step it.
+    of them (`Layer._bind`), one part of the buffers after another: first
+    each Dense layer's flat slice, then each group of PWLU banks, the banks
+    with one interval count N in layer order, as one (N+5, ΣU) array per
+    buffer whose columns are its banks' `theta`, `g_theta` and `v_theta`.
+    So a step is one `sgd_momentum_step` per run of adjacent parts that
+    train and share a weight decay: one while `weight_decay` is 0 or while
+    every bank is frozen, else one for the Dense layers and one for the
+    trained banks, which never decay.  (A trained bank in a group with a
+    frozen one steps alone.)  Each group that trains then takes one
+    `within_floor_and_rule` and one `segment_table`, whose rows each bank
+    keeps for its next forward.  The model copies the layers' own blocks into
+    its block and rebinds their arrays; from then on they are written in
+    place, never rebound.  A layer with trained arrays takes one place in
+    one model: listing it twice, or building a second model on it, raises
+    SharedLayerError, since its second backward would overwrite the first's
+    gradient, or only one of the two models could step it.
     """
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
-        owners = sorted((layer for layer in layers if layer.params), key=lambda l: not l.decays)
+        owners = [layer for layer in layers if layer.params]
         for i, layer in enumerate(owners):
             if layer in owners[:i]:
                 raise SharedLayerError(f"{layer.name} is listed twice; a layer with trained "
@@ -534,16 +552,30 @@ class Model:
             if layer._in_model:
                 raise SharedLayerError(f"{layer.name} is already bound to another model's "
                                        f"buffers; build the new model on new layers")
-        block = np.concatenate([layer._block for layer in owners] or [np.empty((3, 0))], axis=1)
+        groups = {}  # the banks of each interval count, in layer order
+        for bank in owners:
+            if isinstance(bank, PwluActivation):
+                groups.setdefault(bank.n_intervals, []).append(bank)
+        parts = [[l] for l in owners if not isinstance(l, PwluActivation)] + list(groups.values())
+        block = np.empty((3, sum(layer._block[0].size for layer in owners)))
         self.buffers = tuple(block)  # parameters, gradients, velocities
-        # (layer, start, end) of each layer's slice of the buffers, in their order
-        self._slices = []
+        # (layers, start, end, group) of each part's slice of the buffers, in order; a bank
+        # group's `group` is its (N+5, ΣU) parameters and each bank's columns, else None.
+        self._parts = []
         start = 0
-        for layer in owners:
-            end = start + layer._block.shape[1]
-            layer._bind(block[:, start:end])
-            layer._in_model = True
-            self._slices.append((layer, start, end))
+        for part in parts:
+            end = start + sum(layer._block[0].size for layer in part)
+            # Each layer's block is (3, size) or (3, N+5, U): the part joins them on the last axis.
+            region = block[:, start:end].reshape(part[0]._block.shape[:-1] + (-1,))
+            np.concatenate([layer._block for layer in part], axis=-1, out=region)
+            columns, col = [], 0
+            for layer in part:
+                columns.append(slice(col, col + layer._block.shape[-1]))
+                layer._bind(region[..., columns[-1]])
+                layer._in_model = True
+                col = columns[-1].stop
+            group = (region[0], columns) if isinstance(part[0], PwluActivation) else None
+            self._parts.append((part, start, end, group))
             start = end
 
     def forward(self, x, training=False):
@@ -561,23 +593,39 @@ class Model:
         return loss, logits
 
     def step(self, lr, momentum, weight_decay):
-        """One SGD-with-momentum update per run of trained layers with one decay,
-        then each trained layer's `_after_step`: a bank's floor and check."""
-        runs, stepped = [], []  # runs: [start, end, decay] of adjacent trained slices
-        for layer, start, end in self._slices:
-            if layer.trains:
-                decay = weight_decay if layer.decays else 0.0
-                if runs and runs[-1][1] == start and runs[-1][2] == decay:
-                    runs[-1][1] = end
-                else:
-                    runs.append([start, end, decay])
-                stepped.append(layer)
+        """One SGD-with-momentum update per run of trained parts with one decay, then
+        one floor and check and one segment table per group of trained banks."""
+        runs, trained = [], []  # [start, end, decay] of adjacent parts; each trained group
+        for part, start, end, group in self._parts:
+            if not all(layer.trains for layer in part):  # a group with a frozen bank:
+                for bank in part:  # each trained bank steps its own columns and checks them
+                    if bank.trains:
+                        bank.step(lr, momentum, weight_decay)
+                continue
+            if group:
+                trained.append((part, *group))
+            decay = weight_decay if part[0].decays else 0.0
+            if runs and runs[-1][1] == start and runs[-1][2] == decay:
+                runs[-1][1] = end
+            else:
+                runs.append([start, end, decay])
         params, grads, velocities = self.buffers
         for start, end, decay in runs:
             sgd_momentum_step(params[start:end], grads[start:end], velocities[start:end],
                               lr, momentum, decay)
-        for layer in stepped:
-            layer._after_step()
+        for banks, theta, columns in trained:
+            # The group's floor is its banks' largest, so a pass implies each bank's.
+            if not within_floor_and_rule(theta):
+                for bank in banks:
+                    bank._floor_and_check()
+            for bank in banks:  # the old table goes first: the new one can take its memory
+                bank._tables = [None, None, None]
+            # segment_table works unit by unit: each bank's rows have its own table's bits.
+            b_l, b_r, k_l, k_r, y = bank_views(theta)
+            edges, slopes, heights = segment_table(b_l, b_r, y, k_l, k_r)
+            for bank, cols in zip(banks, columns):
+                bank._tables = [bank.theta.tobytes(), (edges[cols], slopes[cols], heights[cols]),
+                                None]
 
     def predict(self, x):
         for layer in self.layers:

@@ -72,7 +72,7 @@ class Trainer:
         xb = self.train_features[idx]
         yb = self.train_labels[idx]
         loss, logits = self.model.loss_and_backward(xb, yb)
-        if not (np.isfinite(loss) and np.all(np.isfinite(logits))):
+        if not (np.isfinite(loss) and np.isfinite(logits).all()):
             layer = self.model.first_nonfinite_layer(xb) or "loss"
             raise NonFiniteLossError(layer, self.t)
         self.model.step(

@@ -659,6 +659,9 @@ def step_tail(theta):
         center = 0.5 * (b_l[narrow] + b_r[narrow])
         b_l[narrow] = center - 0.5 * min_width[narrow]
         b_r[narrow] = center + 0.5 * min_width[narrow]
+        for u in np.flatnonzero(narrow):  # an ulp at a time until the width clears its floor
+            while b_r[u] - b_l[u] < min_width[u]:
+                b_r[u] = np.nextafter(b_r[u], np.inf)
         width = b_r - b_l
     return floored, not (wide_enough(width).all() and np.isfinite(theta).all())
 
@@ -669,14 +672,21 @@ def address(a):
 
 @st.composite
 def step_models(draw):
-    """A 2-3-Dense model after backward passes, each bank trained, frozen with a kept
-    gradient, or unfrozen with its gradient view as it stands (a frozen backward writes
-    none); velocities nonzero and signed zeros throughout."""
-    widths = draw(st.lists(st.integers(1, 5), min_size=3, max_size=4))
-    activation = draw(st.sampled_from(["pwlu", "pwlu", "relu"]))
+    """A 2-4-Dense model after backward passes, its banks of mixed widths, granularities
+    and interval counts (so some groups hold two banks, some one), each bank trained,
+    frozen with a kept gradient, or unfrozen with its gradient view as it stands (a
+    frozen backward writes none); velocities nonzero and signed zeros throughout."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=3, max_size=5))
+    pwlu = draw(st.sampled_from([True, True, False]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    model = build_mlp(widths, activation, rng, n_intervals=4,
-                      granularity=draw(st.sampled_from(["channel", "layer"])))
+    layers = []
+    for i, (width_in, width) in enumerate(zip(widths, widths[1:])):
+        layers.append(Dense(width_in, width, rng, name=f"dense{i}"))
+        if i < len(widths) - 2:
+            layers.append(PwluActivation(
+                width, n_intervals=draw(st.sampled_from([2, 4])), name=f"pwlu{i}",
+                granularity=draw(st.sampled_from(GRANULARITIES))) if pwlu else Relu())
+    model = Model(layers)
     banks = model.pwlu_layers()
     states = [draw(st.sampled_from(["trained", "frozen", "no-grad"])) for _ in banks]
     x, labels = rng.normal(size=(9, widths[0])), rng.integers(0, widths[-1], 9)
@@ -703,29 +713,43 @@ def step_models(draw):
 
 class TestModelStep:
     def test_trained_arrays_are_views_of_the_buffers_dense_first(self):
-        model = build_mlp([3, 5, 4, 2], "pwlu", np.random.default_rng(0), n_intervals=4)
-        dense = [l for l in model.layers if isinstance(l, Dense)]
-        order = [(l, p) for l in dense + model.pwlu_layers() for p in l.params]
+        # Each Dense layer's flat slice, then one (N+5, ΣU) array per interval count N
+        # (its first bank's place among the banks sets its order), the banks in layer
+        # order as its columns.
+        rng = np.random.default_rng(0)
+        layers = [Dense(3, 5, rng), PwluActivation(5, n_intervals=4), Dense(5, 4, rng),
+                  PwluActivation(4, n_intervals=6, granularity="layer"), Dense(4, 3, rng),
+                  PwluActivation(3, n_intervals=4), Dense(3, 2, rng)]
+        model = Model(layers)
         params, grads, velocities = model.buffers
-        assert params.size == sum(getattr(l, p).size for l, p in order)
+        buffers = {"": params, "g_": grads, "v_": velocities}
         offset = 0
-        for layer, p in order:
-            for prefix, buffer in (("", params), ("v_", velocities)):
-                assert address(getattr(layer, prefix + p)) == address(buffer) + 8 * offset
-            offset += getattr(layer, p).size
-        for layer in model.pwlu_layers():
-            assert np.shares_memory(layer.g_theta, grads)  # before its first backward too
-            assert all(np.shares_memory(view, params) for view in bank_views(layer.theta))
+        for layer in layers[::2]:
+            for p in layer.params:
+                for prefix, buffer in buffers.items():
+                    assert address(getattr(layer, prefix + p)) == address(buffer) + 8 * offset
+                offset += getattr(layer, p).size
+        for banks in ([layers[1], layers[5]], [layers[3]]):
+            rows, columns = banks[0].n_intervals + 5, sum(bank.n_units for bank in banks)
+            column = 0
+            for bank in banks:
+                for prefix, buffer in buffers.items():
+                    group = buffer[offset:offset + rows * columns].reshape(rows, columns)
+                    view = getattr(bank, prefix + "theta")
+                    assert view.shape == (rows, bank.n_units) and view.strides == group.strides
+                    assert address(view) == address(group) + 8 * column
+                assert all(np.shares_memory(view, params) for view in bank_views(bank.theta))
+                column += bank.n_units
+            offset += rows * columns
+        assert offset == params.size
+        order = [(l, p) for l in layers if l.params for p in l.params]
         x, labels = np.ones((4, 3)), np.array([0, 1, 0, 1])
         model.loss_and_backward(x, labels)
-        kept = [getattr(l, f"g_{p}") for l, p in order]
+        kept = [(getattr(l, f"g_{p}"), address(getattr(l, f"g_{p}"))) for l, p in order]
         model.step(0.1, 0.9, 0.0)
         model.loss_and_backward(x, labels)
-        offset = 0
-        for (layer, p), g in zip(order, kept):  # written in place, not made anew
-            assert getattr(layer, f"g_{p}") is g
-            assert address(g) == address(grads) + 8 * offset
-            offset += g.size
+        for (layer, p), (g, at) in zip(order, kept):  # written in place, not made anew
+            assert getattr(layer, f"g_{p}") is g and address(g) == at
 
     def test_model_takes_over_the_values_of_its_layers(self):
         rng = np.random.default_rng(1)
@@ -739,7 +763,7 @@ class TestModelStep:
         after = [[getattr(l, name) for p in l.params for name in (p, f"v_{p}")] for l in layers]
         for want, got in zip(before, after):
             assert all(np.array_equal(w, g) for w, g in zip(want, got))
-        assert [l for l, _, _ in model._slices] == [layers[0], layers[2], layers[1]]
+        assert [part for part, *_ in model._parts] == [[layers[0]], [layers[2]], [layers[1]]]
 
     @pytest.mark.parametrize("taken", [
         lambda m: m.layers[:1],
@@ -807,6 +831,42 @@ class TestModelStep:
         for (layer, p), (param, velocity) in {**want, **frozen}.items():
             assert same_bits(getattr(layer, p), param), (layer.name, p)
             assert same_bits(getattr(layer, f"v_{p}"), velocity), (layer.name, p)
+        # A trained bank's forward reads a table with the bits of its own, kept by the step
+        # where its whole group trains, built by the forward where the group has a frozen bank.
+        groups = {}
+        for bank in model.pwlu_layers():
+            groups.setdefault(bank.n_intervals, []).append(bank)
+        for bank in model.pwlu_layers():
+            if all(b.trains for b in groups[bank.n_intervals]):
+                assert bank._tables[0] == bank.theta.tobytes(), bank.name
+            got = bank._table(1, segment_table)
+            want = segment_table(bank.b_l, bank.b_r, bank.y, bank.k_l, bank.k_r)
+            assert all(same_bits(g, w) for g, w in zip(got, want)), bank.name
+
+    def test_a_narrow_bank_sends_its_group_to_the_full_floor_and_check(self, monkeypatch):
+        model = build_mlp([2, 3, 4, 2], "pwlu", np.random.default_rng(0), n_intervals=4)
+        rng = np.random.default_rng(1)
+        model.loss_and_backward(rng.normal(size=(8, 2)), rng.integers(0, 2, 8))
+        narrow, other = model.pwlu_layers()
+        narrow.b_l[1], narrow.b_r[1] = 0.0, np.nextafter(FLOOR, 0.0)
+        floored = []
+
+        def counted(bank):
+            floored.append(bank)
+            floor_and_check(bank)
+
+        floor_and_check = PwluActivation._floor_and_check
+        monkeypatch.setattr(PwluActivation, "_floor_and_check", counted)
+        before = other.theta.copy()
+        model.step(0.0, 0.9, 0.0)  # lr 0: the update leaves every parameter's bits
+        assert floored == [narrow, other]
+        assert narrow.b_r[1] - narrow.b_l[1] >= FLOOR
+        assert same_bits(other.theta, before)
+        for bank in (narrow, other):  # the group's table is built from the widened bank
+            assert bank._tables[0] == bank.theta.tobytes()
+        # The widened unit clears the group's fast test: the next step takes no full check.
+        model.step(0.0, 0.9, 0.0)
+        assert floored == [narrow, other]
 
 
 # Values a stepped theta may hold: signed zeros, the floor's scales, huge
@@ -879,8 +939,14 @@ class TestBankStepCheck:
         before = layer.theta.copy()
         assert not within_floor_and_rule(layer.theta)
         layer._floor_and_check()
-        center = 0.5 * narrow  # the unit is set FLOOR wide around its center
-        assert (layer.b_l[1], layer.b_r[1]) == (center - 0.5 * FLOOR, center + 0.5 * FLOOR)
+        # The unit is set FLOOR wide around its center, a width that rounds to
+        # 9.999999999999997e-07, so b_r moves up one ulp.
+        center = 0.5 * narrow
+        assert (layer.b_l[1], layer.b_r[1]) == (center - 0.5 * FLOOR,
+                                                np.nextafter(center + 0.5 * FLOOR, 1.0))
+        assert (layer.b_l[1], layer.b_r[1]) == (-1.0587911840678754e-22, 1e-06)
+        assert layer.b_r[1] - layer.b_l[1] >= FLOOR
+        assert within_floor_and_rule(layer.theta)  # the next step takes the fast test
         assert same_bits(layer.theta[:, [0, 2]], before[:, [0, 2]])
 
 
@@ -1173,10 +1239,59 @@ class TestBankTables:
         for _ in range(5):
             layer.infer(x)
         assert built == ["segment_table", "fused_table"]
-        layer.frozen = False  # a trained forward runs after a step: it builds its own
+        layer.frozen = False  # a trained forward reads the kept table too
         for _ in range(5):
             layer.forward(x)
-        assert built == ["segment_table", "fused_table"] + ["segment_table"] * 5
+        assert built == ["segment_table", "fused_table"]
+        layer.backward(np.ones_like(x))
+        layer.step(0.1, 0.9, 0.0)  # outside a model, the first forward after a step builds
+        for _ in range(5):
+            layer.forward(x)
+        assert built == ["segment_table", "fused_table", "segment_table"]
+        # In a model, a step builds one table for each group of banks, and no forward builds.
+        model = build_mlp([4, 4, 4, 2], "pwlu", np.random.default_rng(0), n_intervals=4)
+        model.loss_and_backward(x, np.arange(10) % 2)
+        built.clear()
+        for _ in range(3):
+            model.step(0.1, 0.9, 0.0)
+            model.loss_and_backward(x, np.arange(10) % 2)
+        assert built == ["segment_table"] * 3
+
+    def test_a_model_rebuilds_its_kept_tables_after_every_write(self, tmp_path):
+        train = gen_spirals(60, 0.05, 1)
+        model = build_mlp([2, 6, 6, 2], "pwlu", np.random.default_rng(0), n_intervals=4,
+                          pwlu_frozen=True, pwlu_collecting=True)
+        sched = TrainSchedule(total_iterations=30, realign_iteration=10, base_lr=0.1, seed=0)
+        trainer = Trainer(model, sched, train.features, train.labels, batch_size=16)
+        for _ in range(9):
+            trainer.step()
+        x = np.random.default_rng(3).normal(size=(12, 6)) * 2.0
+
+        def step_and_check(model):
+            """A step keeps one table per group; each bank's forward has a fresh bank's bits."""
+            model.loss_and_backward(train.features[:16], train.labels[:16])
+            model.step(0.1, 0.9, 0.0)
+            for bank in model.pwlu_layers():
+                assert bank._tables[0] == bank.theta.tobytes()
+            return [self.assert_fresh(bank, "forward", x) for bank in model.pwlu_layers()]
+
+        for bank in model.pwlu_layers():
+            bank.frozen = False
+        kept = step_and_check(model)
+        trainer.realign_now()
+        realigned = [self.assert_fresh(bank, "forward", x) for bank in model.pwlu_layers()]
+        assert all(not np.array_equal(a, b) for a, b in zip(kept, realigned))
+        kept = step_and_check(model)
+        bank_views(model.pwlu_layers()[1].theta)[4][2, 1] += 0.5
+        written = self.assert_fresh(model.pwlu_layers()[1], "forward", x)
+        assert not np.array_equal(written, kept[1])
+        kept = step_and_check(model)
+        save_checkpoint(tmp_path / "m.bin", trainer)
+        loaded = load_model(tmp_path / "m.bin")
+        for bank, want in zip(loaded.pwlu_layers(), kept):
+            np.testing.assert_array_equal(self.assert_fresh(bank, "forward", x), want)
+        for a, b in zip(step_and_check(loaded), step_and_check(model)):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestEndToEndGradients:
