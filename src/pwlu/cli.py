@@ -310,14 +310,21 @@ def cmd_bench(config: RunConfig) -> int:
     x = rng.normal(0.0, 2.0, size=config.batch_elems)
     table64 = build_fused(params)
     table32 = build_fused(params, dtype=np.float32)
-    # A range check only: the float32 cast may overflow an entry to inf or underflow
-    # the inverse interval length to 0. A table in range still misplaces small inputs.
-    entries = (table32.left_boundary, table32.slopes, table32.offsets)
-    if not all(np.isfinite(v).all() for v in entries) or not table32.inv_interval_len > 0:
-        raise ConfigError("checkpoint" if config.checkpoint else "half_width",
-                          "the unit exceeds float32's range: its float32 table has an "
-                          "entry that is not finite or a zero inverse interval length")
     x32 = x.astype(np.float32)
+    # Each timed table must give the three-branch values on the inputs it is timed on,
+    # to half its dtype's digits.  A unit far wider than the inputs fails: its index
+    # rounds them into the wrong segment, and beyond float32's range the float32 table
+    # has infinite entries or a zero inverse interval length.
+    want = forward_reference(x, params)
+    scale = 1.0 + np.abs(x) * np.abs(table64.slopes).max() + np.abs(want)
+    for name, table, xs in (("fused_f64", table64, x), ("fused_f32", table32, x32)):
+        rtol = float(np.sqrt(np.finfo(table.slopes.dtype).eps))
+        err = np.abs(forward_fused(xs, table) - want) / scale
+        if not np.all(err <= rtol):  # NaN fails too
+            raise ConfigError("checkpoint" if config.checkpoint else "half_width",
+                              f"the unit's {name} table is off from forward_reference by "
+                              f"{np.max(err):.3g} of 1 + |x| max|slope| + |value| on the "
+                              f"bench inputs, above the {rtol:.2g} allowed for its dtype")
 
     kernels = [
         ("relu", lambda: np.maximum(x, 0.0)),

@@ -187,13 +187,12 @@ class PwluActivation(Layer):
     `reservoir`, which share one generator; `stats` is a read-only snapshot
     of them as RunningStats.  `realign` resets the whole
     bank from `running_stats` in one array operation.  A forward keeps what
-    backward reads in one tuple, `_cache`: the (elements, U) input columns,
-    the segment index, the outer masks, each element's edge, its offset
-    x - edge and its slope, and the (U,) width b_r - b_l and interval length
-    d.  A training forward of a trained bank writes the segment index into
-    plane 0 of a (2, elements, U) index pair, whose plane 1 the backward
-    fills with the upper height's index; any other forward keeps the
-    (elements, U) index alone.  The segment and fused tables are built once
+    backward reads in one tuple, `_cache`: each element's segment index,
+    its offset x - edge and its slope, the (U,) width b_r - b_l and interval
+    length d, and the (U, N+2) edge and slope rows of the segment table it
+    read.  A trained backward sums up and up * offset per unit and segment,
+    two `bincount`s over that index, and forms all of g_theta from the
+    (U, N+2) sums (`_param_grads`).  The segment and fused tables are built once
     per parameter write and kept in `_tables` (see `_table`) for every
     forward and `infer`; after a step `Model.step` builds one segment table
     per group and keeps each bank's rows of it.
@@ -311,12 +310,9 @@ class PwluActivation(Layer):
         return np.moveaxis(cols.reshape(moved_shape), -1, 1)
 
     def _segments(self, xc, d, seg):
-        """Extended segment of every element of xc (elements, units), d the (U,) interval length.
-
-        Writes its flat index into the (U, N+2) segment tables to seg, an
-        int64 array of xc's shape, and returns the masks of elements left and
-        right of the interval, which set the outer segments.
-        """
+        """Write the extended segment of every element of xc (elements, units), d
+        the (U,) interval length, to seg, an int64 array of xc's shape, as its
+        flat index into the (U, N+2) segment tables."""
         n = self.n_intervals
         raw = xc - self.b_l
         raw /= d
@@ -327,11 +323,11 @@ class PwluActivation(Layer):
         np.fmax(raw, 0, out=raw)
         np.fmin(raw, n - 1, out=raw)
         seg[...] = raw  # whole numbers: the cast truncates nothing
-        left, right = xc < self.b_l, xc >= self.b_r
-        np.putmask(seg, left, -1)
-        np.putmask(seg, right, n)
+        # The clamp sends an element left of the interval to 0 and one right of it
+        # to N-1, so adding the masks moves them to the outer segments -1 and N.
+        seg += xc >= self.b_r
+        seg -= xc < self.b_l
         seg += self._starts1
-        return left, right
 
     def _check_channels(self, x):
         if self.granularity == "channel" and (x.ndim < 2 or x.shape[1] != self.n_channels):
@@ -349,20 +345,13 @@ class PwluActivation(Layer):
             self.reservoir.extend(rows)
         width = self.b_r - self.b_l
         d = width / self.n_intervals
-        # A trained backward follows: it fills plane 1.  Any other forward keeps the
-        # index alone: a pair on every forward raised perfbench `wide`'s peak RSS
-        # by 4% (162.5 to 169.0 MB), through glibc's dynamic mmap threshold.
-        if training and not self.frozen:
-            index = np.empty((2,) + xc.shape, np.int64)
-            seg = index[0]
-        else:
-            seg = index = np.empty(xc.shape, np.int64)
-        left, right = self._segments(xc, d, seg)
+        seg = np.empty(xc.shape, np.int64)
+        self._segments(xc, d, seg)
         edges, slopes, heights = self._table(1, segment_table)
-        edge, slope = edges.take(seg), slopes.take(seg)
-        offset = xc - edge
+        slope = slopes.take(seg)
+        offset = xc - edges.take(seg)
         # Backward reads these, not the parameters: step() changes them only after it.
-        self._cache = xc, index, left, right, edge, offset, slope, width, d
+        self._cache = seg, offset, slope, width, d, edges, slopes
         out = offset * slope
         out += heights.take(seg)  # in place: the bits of (xc - edge) * slope + height
         return self._from_columns(out, x)
@@ -380,79 +369,51 @@ class PwluActivation(Layer):
         return forward_fused(x, table)
 
     def backward(self, grad_out, input_grad=True):
-        # grad_in is always made: the parameter gradients are built from it.
-        xc, index, left, right, edge, offset, slope, width, d = self._cache
+        # grad_in is always made, whatever input_grad says.
+        seg, offset, slope, width, d, edges, slopes = self._cache
         up = self._to_columns(grad_out)
-        if xc.shape != up.shape:
+        if offset.shape != up.shape:
             raise ShapeMismatchError(
-                f"{self.name}: input columns {xc.shape} != upstream {up.shape}"
+                f"{self.name}: input columns {offset.shape} != upstream {up.shape}"
             )
         grad_in = slope * up  # up * slope bit for bit: multiplication commutes
         # A frozen bank's step leaves theta alone, so no gradient is computed or written.
         if not self.frozen:
-            self._param_grads(xc, up, grad_in, index, left, right, edge, offset, width, d)
+            self._param_grads(up, seg, offset, width, d, edges, slopes)
         return self._from_columns(grad_in, grad_out)
 
-    def _param_grads(self, xc, up, grad_in, index, left, right, edge, offset, width, d):
-        """Write every entry of g_theta from one backward's columns and the forward's `_cache`.
+    def _param_grads(self, up, seg, offset, width, d, edges, slopes):
+        """Write every entry of g_theta from two sums per unit u and extended segment j:
+        S0 = sum of up and S1 = sum of up * (x - edge_j) over the elements in it.
 
-        Each quantity is built in place in a few reused buffers, in the
-        operation order of the expression in its comment, so it has that
-        expression's bits.
+        With w the width, d the interval length and s_j the slope, for the
+        interior segments j = 1..N: g_y[j-1] += S0 - S1/d and g_y[j] += S1/d,
+        g_b_l += s_j/w * (S1 + (edge_j - b_r) * S0) and g_b_r += s_j/w * ((b_l -
+        edge_j) * S0 - S1).  An outer segment adds its S0 to g_y[0] or g_y[N],
+        -k * S0 to its boundary, and its S1 is the outer slope's gradient, so an
+        infinite input, which lies outside, reaches only that S1.
         """
         n, units = self.n_intervals, self.n_units
-        if index.ndim == 2:  # the forward kept the segment index alone
-            index = np.stack((index, index))
-        # Flat indices, not masks: a scatter to the outer elements costs less
-        # than a masked pass over all of them, even when half lie outside.
-        outside_at = (left | right).ravel().nonzero()[0]
-        # Outer bin u is unit u's left region, bin U + u its right one.
-        outer_bin = outside_at % units
-        outer_bin += units * right.take(outside_at)
-        # planes[0] is each element's lower height weight, up * (edge + d - xc) / d,
-        # and planes[1] its upper one, moment / d, where moment = up * (xc - edge)
-        # is also the outer slope partial; planes[2:] are its interval terms of
-        # g_b_l and g_b_r.
-        planes = np.empty((4,) + xc.shape)
-        lower, moment, mid_l, mid_r = planes
-        np.add(edge, d, out=lower)
-        lower -= xc
-        lower *= up
-        lower /= d
-        np.multiply(offset, up, out=moment)
-
-        # Each outer sum reads only its region's elements, so an infinite input
-        # adds nothing outside it.  bincount adds each bin's values from 0.0 in
-        # element order (the flat indices run row by row; index % U is the unit).
-        g_theta = self.g_theta
-        g_y = bank_views(g_theta)[4]
-        up_outer = np.bincount(outer_bin, up.take(outside_at), 2 * units)
-        g_theta[2:4] = np.bincount(outer_bin, moment.take(outside_at),
-                                   2 * units).reshape(2, units)
-
-        # grad_in * (xc - b_r) / width and grad_in * (b_l - xc) / width in the interval
-        np.subtract(xc, self.b_r, out=mid_l)
-        np.subtract(self.b_l, xc, out=mid_r)
-        mid = planes[2:]
-        mid *= grad_in
-        mid /= width
-        moment /= d
-        # The sums run over whole planes with the outer elements set to 0.0:
-        # not 0 * inf, which an infinite input would give.
-        planes.reshape(4, -1)[:, outside_at] = 0.0
-        # -k_l * up_l + (interval sum) and -k_r * up_r + (interval sum)
-        g_theta[:2] = (-self.theta[2:4]) * up_outer.reshape(2, units) \
-            + np.add.reduce(mid, axis=1)
-
-        # Height j of unit u is bin u*(N+2) + j + 1: an element's lower height is
-        # its table index, its upper height the next (outer elements add zeros).
-        # bincount adds in input order, all lower weights first, so runs sum alike.
-        np.add(index[0], 1, out=index[1])
         bins = units * (n + 2)
-        g_y[:] = np.bincount(index.ravel(), weights=planes[:2].ravel(),
-                             minlength=bins)[:bins].reshape(-1, n + 2)[:, 1:]
-        g_y[:, 0] += up_outer[:units]
-        g_y[:, n] += up_outer[units:]
+        # bincount adds each bin's values from 0.0 in element order
+        flat = seg.ravel()
+        s0 = np.bincount(flat, up.ravel(), bins).reshape(units, n + 2)
+        s1 = np.bincount(flat, (up * offset).ravel(), bins).reshape(units, n + 2)
+        g_theta = self.g_theta
+        g_theta[2], g_theta[3] = s1[:, 0], s1[:, n + 1]
+        inner0, inner1 = s0[:, 1:n + 1], s1[:, 1:n + 1]
+        upper = inner1 / d[:, None]
+        g_y = g_theta[4:].T
+        g_y[:, :n] = inner0 - upper
+        g_y[:, n] = s0[:, n + 1]
+        g_y[:, 1:] += upper
+        g_y[:, 0] += s0[:, 0]
+        # The boundaries' interior terms, each segment's sum times s_j / w
+        inner_edges, rate = edges[:, 1:n + 1], slopes[:, 1:n + 1] / width[:, None]
+        g_theta[0] = np.add.reduce(rate * ((inner_edges - edges[:, n + 1:]) * inner0 + inner1),
+                                   axis=1) - slopes[:, 0] * s0[:, 0]
+        g_theta[1] = np.add.reduce(rate * ((edges[:, :1] - inner_edges) * inner0 - inner1),
+                                   axis=1) - slopes[:, n + 1] * s0[:, n + 1]
 
     def _after_step(self):
         # Unit parameters never receive weight decay (`decays`); decaying the

@@ -32,14 +32,14 @@ COUNTED_WITH = {"numpy": "2.4.6", "python": "3.11"}
 # At most this many calls per operation of a 64x32 bank, per step and per
 # iteration of the trained 2-32-32-2 spirals model, and per `infer` at two more shapes.
 BOUNDS = {
-    "forward": 15,
-    "backward": 25,
+    "forward": 13,
+    "backward": 12,
     "step": 12,
-    "frozen-forward": 15,
+    "frozen-forward": 13,
     "frozen-backward": 2,
     "infer": 17,
     "model-step": 28,
-    "iteration": 138,
+    "iteration": 108,
     "infer-1024x256": 66,
     "infer-1200x32": 17,
 }

@@ -307,6 +307,7 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.startswith(f"error: field={field} message=") and err.count("\n") == 1
         assert not (out / "bench.csv").exists()
+        return err
 
     def test_half_width_beyond_float32_is_rejected(self, tmp_path, capsys):
         # 1e200 casts to an infinite float32 boundary: fused_f32 would time a table
@@ -331,11 +332,22 @@ class TestBench:
             "checkpoint")
 
     def test_half_width_within_float32_is_timed(self, tmp_path, capsys):
+        # 1e3 is far wider than the N(0, 2) inputs, but both tables still place them.
         out = tmp_path / "bench"
-        code = main(["bench", "--half-width", "1e38", "--repetitions", "1",
+        code = main(["bench", "--half-width", "1e3", "--repetitions", "1",
                      "--batch-elems", "100", "--out", str(out)])
         assert code == 0
         assert (out / "bench.csv").read_text().count("\n") == 5
+
+    @pytest.mark.parametrize("half_width,table", [("1e6", "fused_f32"), ("1e38", "fused_f64")])
+    def test_half_width_whose_tables_misplace_inputs_is_rejected(self, tmp_path, capsys,
+                                                                   half_width, table):
+        # In float32's range but far wider than the inputs, which x - b_l rounds away in
+        # float32 from about 1e5; at 1e38 forward_reference rounds them away in float64
+        # as the float32 table does, and the float64 table's other order of rounding differs.
+        err = self.assert_rejected_before_timing(capsys, tmp_path / "bench",
+                                                 ["--half-width", half_width], "half_width")
+        assert f"{table} table is off" in err
 
 
 class TestExport:

@@ -321,7 +321,27 @@ class TestPwluBank:
         layer, x, seed = bank
         up = np.random.default_rng(seed).normal(size=x.shape)
         layer.forward(x)
-        grad_in = layer.backward(up)
+        self.assert_matches_oracle(layer, x, up, layer.backward(up))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @np.errstate(over="ignore", invalid="ignore")  # bank and oracle meet +-inf
+    def test_gradients_match_oracle_at_hundreds_of_elements_per_segment(self, seed):
+        # 4096 rows over 4 units of 4 intervals: each segment's sums add hundreds of terms.
+        rng = np.random.default_rng(seed)
+        layer = PwluActivation(4, n_intervals=4)
+        layer.b_l[:] = rng.uniform(-4.0, 4.0, 4)
+        layer.b_r[:] = layer.b_l + rng.uniform(0.01, 8.0, 4)
+        layer.y[:] = rng.uniform(-4.0, 4.0, (4, 5))
+        layer.k_l[:], layer.k_r[:] = rng.uniform(-4.0, 4.0, (2, 4))
+        grid = np.stack([p.grid() for p in layer.units], axis=1)  # (5, 4): boundaries included
+        x = np.concatenate([rng.uniform(layer.b_l - 2.0, layer.b_r + 2.0, (4089, 4)), grid,
+                            np.full((1, 4), np.inf), np.full((1, 4), -np.inf)])
+        up = rng.normal(size=x.shape)
+        layer.forward(x, training=True)
+        self.assert_matches_oracle(layer, x, up, layer.backward(up))
+
+    def assert_matches_oracle(self, layer, x, up, grad_in):
+        """grad_in bitwise, and g_theta within its terms' rounding, against kernel.backward."""
         up_cols = self.unit_inputs(layer, up)
         grad_cols = self.unit_inputs(layer, grad_in)
         for (u, p, xu), (_, _, upu), (_, _, giu) in zip(self.unit_inputs(layer, x),
@@ -442,14 +462,15 @@ class TestPwluBank:
         layer, x, _ = bank
         n = layer.n_intervals
         xc = layer._to_columns(np.concatenate([x, np.full((1,) + x.shape[1:], np.nan)]))
+        # and on every unit its boundaries' lower neighbours, where the clamp and the
+        # masks meet, as well as the boundaries, NaN and +-inf of the columns
+        xc = np.concatenate([xc, np.nextafter(layer.theta[:2], -np.inf)])
         seg = np.empty(xc.shape, np.int64)
-        left, right = layer._segments(xc, (layer.b_r - layer.b_l) / n, seg)
+        layer._segments(xc, (layer.b_r - layer.b_l) / n, seg)
         for u, p in enumerate(layer.units):
             col = xc[:, u]
             want_left, want_right = col < p.left_boundary, col >= p.right_boundary
             want = np.where(want_left, 0, np.where(want_right, n + 1, interval_index(col, p) + 1))
-            np.testing.assert_array_equal(left[:, u], want_left)
-            np.testing.assert_array_equal(right[:, u], want_right)
             np.testing.assert_array_equal(seg[:, u], want + u * (n + 2))
 
     @staticmethod

@@ -5,7 +5,8 @@ test green.  A change that alters bits on purpose re-records the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.  The hashes also depend on the numpy version and
+and says why in CHANGES.md; the script prints the name of each entry whose
+hash changed.  The hashes also depend on the numpy version and
 on the BLAS kernels it picks, so the file records both and a failure names them.
 """
 
@@ -115,18 +116,25 @@ def current_hashes(root: Path) -> dict:
     return {**output_hashes(root), "bank_corpus": bank_corpus_hash()}
 
 
+def changed(recorded: dict, current: dict) -> list:
+    """The names whose hash differs between two records, or that only one of them holds."""
+    return sorted(key for key in recorded.keys() | current.keys()
+                  if recorded.get(key) != current.get(key))
+
+
 def test_outputs_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    recorded, current = golden["sha256"], current_hashes(tmp_path)
-    differ = sorted(key for key in recorded.keys() | current.keys()
-                    if recorded.get(key) != current.get(key))
+    differ = changed(golden["sha256"], current_hashes(tmp_path))
     assert not differ, (f"differ from {GOLDEN.name}: {', '.join(differ)}; recorded with "
                         f"{golden['environment']}, now {environment()}")
 
 
 if __name__ == "__main__":
+    recorded = json.loads(GOLDEN.read_text())["sha256"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         hashes = current_hashes(Path(tmp))
     GOLDEN.write_text(json.dumps({"environment": environment(), "sha256": hashes},
                                  indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {len(hashes)} hashes to {GOLDEN}\n")
+    moved = changed(recorded, hashes)
+    sys.stdout.write(f"wrote {len(hashes)} hashes to {GOLDEN}; {len(moved)} changed\n")
+    sys.stdout.writelines(f"changed: {key}\n" for key in moved)
